@@ -15,6 +15,10 @@
 #      check what-if divergence reports are deterministic
 #  10. storage smoke: rotation chain under load, then a full simulated
 #      disk — emergency, reclaim, recovery, exactly-once survival
+#  11. pipebench smoke: the pipeline benchmark builds against these
+#      sources, prints every metric, and passes its gates (and each gate
+#      fires on damaged input) — a src/ change that breaks the benchmark's
+#      API fails here, not at the next benchmark run
 # Usage: ci/run_all.sh [build-dir-prefix]
 # Build trees land at <prefix>, <prefix>-asan, <prefix>-tsan
 # (default: build, build-asan, build-tsan at the repo root).
@@ -23,39 +27,42 @@ set -eu
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 prefix="${1:-$repo/build}"
 
-echo "==> [1/10] tier-1: plain build + ctest"
+echo "==> [1/11] tier-1: plain build + ctest"
 cmake -B "$prefix" -S "$repo"
 cmake --build "$prefix" -j "$(nproc)"
 (cd "$prefix" && ctest --output-on-failure)
 
-echo "==> [2/10] ASan+UBSan build + ctest"
+echo "==> [2/11] ASan+UBSan build + ctest"
 cmake -B "$prefix-asan" -S "$repo" -DKTRACE_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$prefix-asan" -j "$(nproc)"
 (cd "$prefix-asan" && ctest --output-on-failure)
 
-echo "==> [3/10] TSan: concurrent-labelled tests"
+echo "==> [3/11] TSan: concurrent-labelled tests"
 "$repo/ci/run_tsan.sh" "$prefix-tsan"
 
-echo "==> [4/10] monitor smoke"
+echo "==> [4/11] monitor smoke"
 "$repo/ci/run_monitor_smoke.sh" "$prefix"
 
-echo "==> [5/10] crash-recovery smoke (20 seeds)"
+echo "==> [5/11] crash-recovery smoke (20 seeds)"
 "$repo/ci/run_crash_smoke.sh" "$prefix" 20
 
-echo "==> [6/10] daemon smoke (ktraced fleet, kills + restart)"
+echo "==> [6/11] daemon smoke (ktraced fleet, kills + restart)"
 "$repo/ci/run_daemon_smoke.sh" "$prefix"
 
-echo "==> [7/10] decode-bench smoke (--quick, throughput floor)"
+echo "==> [7/11] decode-bench smoke (--quick, throughput floor)"
 "$repo/bench/run_decode_bench.sh" "$prefix" --quick
 
-echo "==> [8/10] streaming smoke (live vs offline window parity)"
+echo "==> [8/11] streaming smoke (live vs offline window parity)"
 "$repo/ci/run_streaming_smoke.sh" "$prefix"
 
-echo "==> [9/10] replay smoke (record -> bit-identical replay -> what-if)"
+echo "==> [9/11] replay smoke (record -> bit-identical replay -> what-if)"
 "$repo/ci/run_replay_smoke.sh" "$prefix"
 
-echo "==> [10/10] storage smoke (rotation, ENOSPC emergency, reclaim)"
+echo "==> [10/11] storage smoke (rotation, ENOSPC emergency, reclaim)"
 "$repo/ci/run_storage_smoke.sh" "$prefix"
 
-echo "run_all: all ten stages passed"
+echo "==> [11/11] pipebench smoke (benchmark build, metrics, gates)"
+(cd "$repo" && python3 pipebench/run.py --smoke)
+
+echo "run_all: all eleven stages passed"

@@ -16,7 +16,6 @@
 #include <cstdio>
 
 #include "core/ktrace.hpp"
-#include "core/shm.hpp"
 
 using namespace ktrace;
 
@@ -32,8 +31,10 @@ int main() {
   }
 
   ShmTraceControl kernel =
-      ShmTraceControl::create(memory, /*processorId=*/0, kBufferWords, kNumBuffers,
-                              TscClock::ref());
+      ShmTraceControl::create(memory, {.processorId = 0,
+                                       .bufferWords = kBufferWords,
+                                       .numBuffers = kNumBuffers,
+                                       .clock = TscClock::ref()});
 
   Registry registry;
   registry.add({Major::App, 1, KT_TR(TRACE_APP_REQUEST), "64 64",
@@ -61,7 +62,7 @@ int main() {
   for (int app = 0; app < kApps; ++app) ::wait(nullptr);
 
   // One unified, time-ordered stream from four address spaces.
-  const auto events = kernel.snapshot();
+  const auto events = flightRecorderSnapshot(kernel, {.maxEvents = 0});
   uint64_t perApp[kApps + 1] = {};
   uint64_t kernelTicks = 0;
   for (const auto& e : events) {
@@ -81,7 +82,7 @@ int main() {
               static_cast<unsigned long long>(kernelTicks));
 
   std::printf("\nlast 6 events across all four processes:\n");
-  const auto tail = kernel.snapshot(6);
+  const auto tail = flightRecorderSnapshot(kernel, {.maxEvents = 6});
   for (const auto& e : tail) {
     std::printf("  %14llu  %s\n",
                 static_cast<unsigned long long>(e.fullTimestamp),

@@ -89,10 +89,11 @@ uint64_t Consumer::totalPasses() const noexcept {
 
 Consumer::Stats Consumer::stats() const noexcept {
   Stats s;
-  for (const auto& shard : shards_) {
-    s.buffersConsumed += shard->buffersConsumed.load(std::memory_order_relaxed);
-    s.commitMismatches += shard->commitMismatches.load(std::memory_order_relaxed);
-    s.buffersLost += shard->buffersLost.load(std::memory_order_relaxed);
+  for (uint32_t p = 0; p < facility_.numProcessors(); ++p) {
+    const TraceControl& control = facility_.control(p);
+    s.buffersConsumed += control.buffersConsumed();
+    s.commitMismatches += control.commitMismatches();
+    s.buffersLost += control.buffersLost();
   }
   return s;
 }
@@ -152,85 +153,21 @@ bool Consumer::shardPass(Shard& shard) {
   shard.passes.fetch_add(1, std::memory_order_relaxed);
   bool any = false;
   for (uint32_t p = shard.firstProcessor; p < shard.endProcessor; ++p) {
-    while (consumeOne(shard, p)) any = true;
-  }
-  return any;
-}
-
-bool Consumer::consumeOne(Shard& shard, uint32_t p) {
-  TraceControl& control = facility_.control(p);
-  const uint32_t numBuffers = control.numBuffers();
-  const uint32_t bufferWords = control.bufferWords();
-
-  const uint64_t currentSeq = control.currentBufferSeq();
-  uint64_t& next = shard.nextSeq[p - shard.firstProcessor];
-  uint64_t seq = next;
-  if (seq >= currentSeq) return false;  // that lap is still being filled
-
-  // Lap detection: only the most recent numBuffers-1 completed laps can
-  // still be intact (the current lap occupies one slot).
-  if (currentSeq - seq >= numBuffers) {
-    const uint64_t oldestSafe = currentSeq - numBuffers + 1;
-    shard.buffersLost.fetch_add(oldestSafe - seq, std::memory_order_relaxed);
-    seq = oldestSafe;
-    next = seq;
-  }
-
-  const uint32_t slot = static_cast<uint32_t>(seq & (numBuffers - 1));
-  auto& state = control.bufferState(slot);
-  if (state.lapSeq.load(std::memory_order_acquire) != seq) {
-    // The slot was already recycled for a newer lap: this buffer is gone.
-    shard.buffersLost.fetch_add(1, std::memory_order_relaxed);
-    next = seq + 1;
-    return true;
-  }
-
-  // Wait (bounded) for stragglers to commit; pairs with commit()'s release.
-  // A quiesced-for-recovery processor gets no grace: its producer is dead
-  // or fenced, so no straggler can ever arrive — spinning commitWait per
-  // pass against it would be a busy-wait with no exit condition.
-  const uint64_t lapStart = state.lapStartCommitted.load(std::memory_order_relaxed);
-  uint64_t delta = state.committed.load(std::memory_order_acquire) - lapStart;
-  if (delta < bufferWords &&
-      !quiesced_[p].load(std::memory_order_acquire)) {
-    const auto deadline = std::chrono::steady_clock::now() + config_.commitWait;
+    const TraceControl& control = facility_.control(p);
+    uint64_t& next = shard.nextSeq[p - shard.firstProcessor];
     for (;;) {
-      delta = state.committed.load(std::memory_order_acquire) - lapStart;
-      if (delta >= bufferWords) break;
-      if (std::chrono::steady_clock::now() >= deadline) break;
-      std::this_thread::yield();
+      // A quiesced-for-recovery processor gets no straggler grace: its
+      // producer is dead or fenced, so no commit can ever arrive — waiting
+      // commitWait per pass against it would be a busy-wait with no exit.
+      const std::chrono::nanoseconds grace =
+          quiesced_[p].load(std::memory_order_acquire)
+              ? std::chrono::nanoseconds(0)
+              : std::chrono::nanoseconds(config_.commitWait);
+      if (!control.harvestOne(next, sink_, grace, /*stopAtIncomplete=*/false)) break;
+      any = true;
     }
   }
-
-  BufferRecord record;
-  record.processor = p;
-  record.seq = seq;
-  record.committedDelta = delta;
-  record.commitMismatch = control.commitCountsEnabled() && delta != bufferWords;
-  record.words.resize(bufferWords);
-  const uint64_t base = static_cast<uint64_t>(slot) * bufferWords;
-  for (uint32_t i = 0; i < bufferWords; ++i) {
-    record.words[i] = control.loadWord(base + i);
-  }
-
-  // Seqlock-style validation: if the lap changed under us, the copy is torn.
-  if (state.lapSeq.load(std::memory_order_acquire) != seq) {
-    shard.buffersLost.fetch_add(1, std::memory_order_relaxed);
-    next = seq + 1;
-    return true;
-  }
-
-  // Advance past this lap unconditionally before handing the record off:
-  // once written out (even with a mismatch flagged), the buffer is never
-  // re-examined, so a straggler committing the tail just after write-out
-  // cannot make it be consumed — and counted — twice.
-  if (record.commitMismatch) {
-    shard.commitMismatches.fetch_add(1, std::memory_order_relaxed);
-  }
-  shard.buffersConsumed.fetch_add(1, std::memory_order_relaxed);
-  next = seq + 1;
-  sink_.onBuffer(std::move(record));
-  return true;
+  return any;
 }
 
 }  // namespace ktrace

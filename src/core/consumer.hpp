@@ -1,17 +1,17 @@
 // The buffer consumer: moves completed buffers from the per-processor
 // rings to a Sink (paper §3.1's "code responsible for writing the data").
 //
-// The consumer never synchronizes with the logging fast path. It polls
-// each control's index; a buffer lap is consumable once the index has
-// moved past it. Validity is checked seqlock-style against the slot's
-// lapSeq: if the producers lapped the consumer, the overwritten buffers
-// are counted as lost (the logging side never blocks — the paper's design
-// choice), and the commit-count-vs-size comparison detects partially
-// written buffers, reported via commitMismatches.
+// The consumer never synchronizes with the logging fast path. It loops
+// ShmTraceControl::harvestOne — the same routine the shm watchdog drains
+// with — over each control: a buffer lap is consumable once the index has
+// moved past it, lapped buffers are counted as lost (the logging side
+// never blocks — the paper's design choice), and the commit-count-vs-size
+// comparison detects partially written buffers, reported via
+// commitMismatches. The counts live in each control's block.
 //
 // Write-out is sharded (DESIGN.md §9): the processors are split into N
-// contiguous slices, each owned by one worker with its own nextSeq slice,
-// counters, and doorbell — no global mutex serializes drains. Workers are
+// contiguous slices, each owned by one worker with its own nextSeq slice
+// and doorbell — no global mutex serializes drains. Workers are
 // event-driven rather than fixed-interval pollers: between passes they
 // watch a cheap relaxed "buffer completed" signal (the sum of the owned
 // controls' currentBufferSeq, which moves exactly when a producer crosses
@@ -97,8 +97,8 @@ class Consumer {
     uint64_t commitMismatches = 0;  // partially written buffers (§3.1)
     uint64_t buffersLost = 0;       // producer lapped the consumer
   };
-  /// Lock-free snapshot of the counters: sums the per-shard atomics with
-  /// relaxed loads. Callable from any thread — including
+  /// Lock-free snapshot of the counters: sums the controls' harvest
+  /// counters with relaxed loads. Callable from any thread — including
   /// Monitor::snapshot() — without blocking any shard's pass.
   Stats stats() const noexcept;
 
@@ -121,10 +121,6 @@ class Consumer {
     std::condition_variable cv;
     uint64_t doorbell = 0;
 
-    // Written by the pass holder, read lock-free by stats().
-    std::atomic<uint64_t> buffersConsumed{0};
-    std::atomic<uint64_t> commitMismatches{0};
-    std::atomic<uint64_t> buffersLost{0};
     /// Passes taken (worker loop iterations + drain passes); see
     /// totalPasses().
     std::atomic<uint64_t> passes{0};
@@ -135,8 +131,6 @@ class Consumer {
   /// One consumption pass over the shard's processors; returns true if any
   /// buffer was consumed. Caller holds shard.passMutex.
   bool shardPass(Shard& shard);
-  /// Try to consume processor p's next buffer. Caller holds shard.passMutex.
-  bool consumeOne(Shard& shard, uint32_t p);
   /// The relaxed completion signal: sum of currentBufferSeq over the
   /// shard's processors. Moves exactly when a buffer completes, never
   /// touched by commits — so checking it costs one relaxed-ish load per

@@ -13,6 +13,7 @@
 // chains of maximal fillers.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/bits.hpp"
@@ -101,6 +102,21 @@ struct EventHeader {
            minor == static_cast<uint16_t>(ControlMinor::Filler);
   }
 };
+
+/// Tiles `words` words of dead space with filler events (§3.2), calling
+/// emit(offset, headerWord) for each filler's header. The 10-bit length
+/// field caps one filler at 1023 words, so long spans become chains of
+/// maximal fillers.
+template <typename Emit>
+constexpr void forEachFiller(uint64_t words, uint32_t ts32, Emit&& emit) {
+  for (uint64_t at = 0; at < words;) {
+    const uint32_t len =
+        static_cast<uint32_t>(std::min<uint64_t>(words - at, EventHeader::kMaxWords));
+    emit(at, EventHeader::encode(ts32, len, Major::Control,
+                                 static_cast<uint16_t>(ControlMinor::Filler)));
+    at += len;
+  }
+}
 
 static_assert(EventHeader::kTimestampBits + EventHeader::kLengthBits +
                   EventHeader::kMajorBits + EventHeader::kMinorBits == 64,

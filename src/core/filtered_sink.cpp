@@ -1,7 +1,5 @@
 #include "core/filtered_sink.hpp"
 
-#include <algorithm>
-
 namespace ktrace {
 
 void FilteredSink::onBuffer(BufferRecord&& record) {
@@ -12,16 +10,11 @@ void FilteredSink::onBuffer(BufferRecord&& record) {
     if (!headerLooksValid(headerWord, pos, bufferWords)) {
       // Unclassifiable region: zero it and cover with filler chains so the
       // unprivileged consumer sees nothing and the buffer still decodes.
-      uint32_t remaining = bufferWords - pos;
-      wordsScrubbed_ += remaining;
+      wordsScrubbed_ += bufferWords - pos;
       for (uint32_t i = pos; i < bufferWords; ++i) record.words[i] = 0;
-      while (remaining > 0) {
-        const uint32_t len = std::min(remaining, EventHeader::kMaxWords);
-        record.words[pos] = EventHeader::encode(
-            0, len, Major::Control, static_cast<uint16_t>(ControlMinor::Filler));
-        pos += len;
-        remaining -= len;
-      }
+      forEachFiller(bufferWords - pos, 0, [&](uint64_t at, uint64_t header) {
+        record.words[pos + at] = header;
+      });
       break;
     }
     const EventHeader h = EventHeader::decode(headerWord);

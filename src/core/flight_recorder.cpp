@@ -6,7 +6,7 @@
 
 namespace ktrace {
 
-std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
+std::vector<DecodedEvent> flightRecorderSnapshot(const ShmTraceControl& control,
                                                  const FlightRecorderOptions& options) {
   const uint32_t bufferWords = control.bufferWords();
   const uint32_t numBuffers = control.numBuffers();
@@ -14,10 +14,7 @@ std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
   const uint64_t currentSeq = control.bufferSeq(index);
   const uint32_t currentOffset = static_cast<uint32_t>(index & (bufferWords - 1));
 
-  // Oldest lap that can still be intact. The slot holding the current lap
-  // plus the numBuffers-1 preceding laps are candidates.
-  const uint64_t oldestSeq =
-      currentSeq >= numBuffers - 1 ? currentSeq - (numBuffers - 1) : 0;
+  const uint64_t oldestSeq = control.oldestIntactSeq(currentSeq);
 
   std::vector<DecodedEvent> events;
   uint64_t tsBase = 0;
@@ -46,7 +43,7 @@ std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
   return events;
 }
 
-std::string flightRecorderReport(const TraceControl& control, const Registry& registry,
+std::string flightRecorderReport(const ShmTraceControl& control, const Registry& registry,
                                  double ticksPerSecond,
                                  const FlightRecorderOptions& options) {
   const auto events = flightRecorderSnapshot(control, options);

@@ -1,4 +1,6 @@
-// Flight-recorder access to a live trace control (paper §4.2).
+// Flight-recorder access to a trace control block (paper §4.2): the one
+// ring decoder, for live in-process controls, mapped session segments and
+// crash images alike.
 //
 // In flight-recorder mode the per-processor trace region is a circular
 // buffer: when it fills, new events overwrite old ones, so the most recent
@@ -32,12 +34,12 @@ struct FlightRecorderOptions {
 
 /// Copies and decodes the most recent events from a control's circular
 /// region, oldest first.
-std::vector<DecodedEvent> flightRecorderSnapshot(const TraceControl& control,
+std::vector<DecodedEvent> flightRecorderSnapshot(const ShmTraceControl& control,
                                                  const FlightRecorderOptions& options = {});
 
 /// Renders a snapshot as the debugger-style listing: one line per event,
 /// "seconds  NAME  description".
-std::string flightRecorderReport(const TraceControl& control, const Registry& registry,
+std::string flightRecorderReport(const ShmTraceControl& control, const Registry& registry,
                                  double ticksPerSecond,
                                  const FlightRecorderOptions& options = {});
 

@@ -23,7 +23,6 @@
 #include "core/monitor.hpp"
 #include "core/packing.hpp"
 #include "core/registry.hpp"
-#include "core/shm.hpp"
 #include "core/shm_session.hpp"
 #include "core/sink.hpp"
 #include "core/timestamp.hpp"

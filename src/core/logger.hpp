@@ -7,7 +7,7 @@
 // non-constant-length data.
 //
 // All entry points are non-blocking and safe to call from any number of
-// threads sharing a TraceControl.
+// threads (or processes) sharing a control block.
 #pragma once
 
 #include <concepts>
@@ -24,56 +24,28 @@ namespace ktrace {
 /// Log an event whose payload is a fixed set of word-convertible values.
 template <typename... Ws>
   requires(std::convertible_to<Ws, uint64_t> && ...)
-inline bool logEvent(TraceControl& control, Major major, uint16_t minor,
+inline bool logEvent(ShmTraceControl& control, Major major, uint16_t minor,
                      Ws... words) noexcept {
-  constexpr uint32_t length = 1 + sizeof...(Ws);
-  static_assert(length <= EventHeader::kMaxWords, "event too large");
-  Reservation r;
-  if (!control.reserve(length, r)) return false;
-  control.storeWord(r.index, EventHeader::encode(r.ts32, length, major, minor));
-  uint64_t at = r.index + 1;
-  ((control.storeWord(at++, static_cast<uint64_t>(words))), ...);
-  control.commit(r.index, length);
-  control.noteLogged(major, length);
-  return true;
+  return control.logEvent(major, minor, words...);
 }
 
 /// Log an event with a runtime-sized word payload.
-inline bool logEventData(TraceControl& control, Major major, uint16_t minor,
+inline bool logEventData(ShmTraceControl& control, Major major, uint16_t minor,
                          std::span<const uint64_t> data) noexcept {
-  const uint32_t length = 1 + static_cast<uint32_t>(data.size());
-  Reservation r;
-  if (!control.reserve(length, r)) return false;
-  control.storeWord(r.index, EventHeader::encode(r.ts32, length, major, minor));
-  uint64_t at = r.index + 1;
-  for (const uint64_t w : data) control.storeWord(at++, w);
-  control.commit(r.index, length);
-  control.noteLogged(major, length);
-  return true;
+  return control.logEventData(major, minor, data);
 }
 
 /// Log an event whose payload is `leading` fixed words followed by a
 /// string (length word + packed bytes).
-inline bool logEventString(TraceControl& control, Major major, uint16_t minor,
+inline bool logEventString(ShmTraceControl& control, Major major, uint16_t minor,
                            std::string_view text,
                            std::span<const uint64_t> leading = {}) {
   const uint32_t length =
       1 + static_cast<uint32_t>(leading.size()) + stringWords(text.size());
-  Reservation r;
-  if (!control.reserve(length, r)) return false;
-  control.storeWord(r.index, EventHeader::encode(r.ts32, length, major, minor));
-  uint64_t at = r.index + 1;
-  for (const uint64_t w : leading) control.storeWord(at++, w);
-  control.storeWord(at++, text.size());
-  for (size_t i = 0; i < text.size(); i += 8) {
-    uint64_t w = 0;
-    const size_t n = std::min<size_t>(8, text.size() - i);
-    std::memcpy(&w, text.data() + i, n);
-    control.storeWord(at++, w);
-  }
-  control.commit(r.index, length);
-  control.noteLogged(major, length);
-  return true;
+  return control.logWith(major, minor, length, [&](uint64_t at) {
+    for (const uint64_t w : leading) control.storeWord(at++, w);
+    forEachStringWord(text, [&](uint64_t w) { control.storeWord(at++, w); });
+  });
 }
 
 /// Incremental builder for events mixing words and strings. Capacity is a
@@ -96,19 +68,13 @@ class EventBuilder {
       overflow_ = true;
       return *this;
     }
-    words_[n_++] = s.size();
-    for (size_t i = 0; i < s.size(); i += 8) {
-      uint64_t w = 0;
-      const size_t n = std::min<size_t>(8, s.size() - i);
-      std::memcpy(&w, s.data() + i, n);
-      words_[n_++] = w;
-    }
+    forEachStringWord(s, [&](uint64_t w) { words_[n_++] = w; });
     return *this;
   }
 
   /// Logs the built payload; returns false on builder overflow or
   /// reservation failure.
-  bool post(TraceControl& control, Major major, uint16_t minor) const noexcept {
+  bool post(ShmTraceControl& control, Major major, uint16_t minor) const noexcept {
     if (overflow_) return false;
     return logEventData(control, major, minor, std::span(words_, n_));
   }

@@ -5,7 +5,7 @@
 
 namespace ktrace {
 
-ProcessorCounters readProcessorCounters(const TraceControl& control) {
+ProcessorCounters readProcessorCounters(const ShmTraceControl& control) {
   ProcessorCounters pc;
   pc.processorId = control.processorId();
   uint64_t events = 0;
@@ -81,7 +81,7 @@ bool parseHeartbeat(const DecodedEvent& event, Heartbeat& out) noexcept {
   return true;
 }
 
-bool logMonitorHeartbeat(TraceControl& control, uint64_t heartbeatSeq,
+bool logMonitorHeartbeat(ShmTraceControl& control, uint64_t heartbeatSeq,
                          const Consumer::Stats* consumer,
                          const SinkCounters* sink,
                          const RecoveryStats* recovery) noexcept {

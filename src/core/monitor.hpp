@@ -6,7 +6,7 @@
 // that. Three pieces:
 //
 //   1. MonitorSnapshot / Monitor::snapshot(): a lock-free aggregation of
-//      every per-processor TraceControl counter (events per major class,
+//      every per-processor control-block counter (events per major class,
 //      words reserved, CAS retries, buffer wraps, drops) plus the
 //      consumer's lock-free Stats — live observability with zero effect on
 //      the logging fast path.
@@ -96,8 +96,10 @@ struct MonitorSnapshot {
   ProcessorCounters totals() const;
 };
 
-/// Lock-free read of one control's counters (relaxed loads only).
-ProcessorCounters readProcessorCounters(const TraceControl& control);
+/// Lock-free read of one control's counters (relaxed loads only). Works on
+/// any control block — an in-process TraceControl or a shm producer's
+/// accessor alike.
+ProcessorCounters readProcessorCounters(const ShmTraceControl& control);
 
 // --- TRACE_MONITOR heartbeat event ------------------------------------
 //
@@ -160,7 +162,7 @@ bool parseHeartbeat(const DecodedEvent& event, Heartbeat& out) noexcept;
 /// `sink`, and `recovery` may be null (the corresponding words log as
 /// zero). Returns false if the reservation failed or self-monitoring is
 /// disabled on the control.
-bool logMonitorHeartbeat(TraceControl& control, uint64_t heartbeatSeq,
+bool logMonitorHeartbeat(ShmTraceControl& control, uint64_t heartbeatSeq,
                          const Consumer::Stats* consumer,
                          const SinkCounters* sink = nullptr,
                          const RecoveryStats* recovery = nullptr) noexcept;

@@ -10,6 +10,7 @@
 // ceil(len/8) words of little-endian bytes.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -48,15 +49,21 @@ constexpr uint32_t stringWords(size_t byteLength) noexcept {
   return 1 + static_cast<uint32_t>((byteLength + 7) / 8);
 }
 
-/// Append a string payload (length word + packed bytes) to `out`.
-inline void packString(std::string_view s, std::vector<uint64_t>& out) {
-  out.push_back(s.size());
+/// Calls emit(word) for each word of a string payload: the length word,
+/// then the bytes packed little-endian, eight per word.
+template <typename Emit>
+inline void forEachStringWord(std::string_view s, Emit&& emit) {
+  emit(uint64_t{s.size()});
   for (size_t i = 0; i < s.size(); i += 8) {
     uint64_t w = 0;
-    const size_t n = std::min<size_t>(8, s.size() - i);
-    std::memcpy(&w, s.data() + i, n);
-    out.push_back(w);
+    std::memcpy(&w, s.data() + i, std::min<size_t>(8, s.size() - i));
+    emit(w);
   }
+}
+
+/// Append a string payload (length word + packed bytes) to `out`.
+inline void packString(std::string_view s, std::vector<uint64_t>& out) {
+  forEachStringWord(s, [&](uint64_t w) { out.push_back(w); });
 }
 
 /// Decode a string payload starting at words[0]; returns the number of

@@ -20,10 +20,6 @@ namespace ktrace {
 
 namespace {
 
-constexpr uint32_t kAnchorWords = TraceControl::kAnchorWords;
-
-size_t alignUp64(size_t n) noexcept { return (n + 63) & ~static_cast<size_t>(63); }
-
 [[noreturn]] void throwErrno(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
 }
@@ -38,10 +34,10 @@ struct Layout {
 Layout layoutFor(uint32_t numProcessors, uint32_t maxProducers,
                  uint32_t bufferWords, uint32_t numBuffers) noexcept {
   Layout l;
-  l.leaseOffset = alignUp64(sizeof(ShmSessionHeader));
+  l.leaseOffset = util::roundUpPow2(sizeof(ShmSessionHeader), 64);
   l.controlOffset =
-      alignUp64(l.leaseOffset + static_cast<uint64_t>(maxProducers) * sizeof(ShmLease));
-  l.controlStride = alignUp64(ShmTraceControl::bytesFor(bufferWords, numBuffers));
+      util::roundUpPow2(l.leaseOffset + uint64_t{maxProducers} * sizeof(ShmLease), 64);
+  l.controlStride = util::roundUpPow2(ShmTraceControl::bytesFor(bufferWords, numBuffers), 64);
   l.totalBytes = l.controlOffset + static_cast<uint64_t>(numProcessors) * l.controlStride;
   return l;
 }
@@ -57,13 +53,10 @@ void validateGeometry(uint32_t numProcessors, uint32_t maxProducers,
   if (numProcessors < 1 || numProcessors > ShmSessionHeader::kMaxProcessors) {
     fail("implausible processor count");
   }
-  if (maxProducers < 1 || maxProducers > ShmSessionHeader::kMaxLeases) {
+  if (maxProducers > ShmSessionHeader::kMaxLeases) {
     fail("implausible lease-table size");
   }
-  if (!util::isPowerOfTwo(bufferWords) || !util::isPowerOfTwo(numBuffers) ||
-      bufferWords < 2 * kAnchorWords ||
-      bufferWords > ShmControlState::kMaxBufferWords || numBuffers < 2 ||
-      numBuffers > ShmControlState::kMaxNumBuffers) {
+  if (!ShmTraceControl::validGeometry(bufferWords, numBuffers)) {
     fail("implausible trace-buffer geometry");
   }
 }
@@ -130,7 +123,10 @@ ShmSession ShmSession::create(const std::string& path, const Config& config,
   for (uint32_t p = 0; p < config.numProcessors; ++p) {
     void* block = static_cast<char*>(base) + layout.controlOffset +
                   static_cast<uint64_t>(p) * layout.controlStride;
-    ShmTraceControl::create(block, p, config.bufferWords, config.numBuffers, clock);
+    ShmTraceControl::create(block, {.processorId = p,
+                                    .bufferWords = config.bufferWords,
+                                    .numBuffers = config.numBuffers,
+                                    .clock = clock});
   }
   return session;
 }
@@ -318,6 +314,28 @@ TraceFileMeta ShmSession::fileMeta(uint32_t p) const {
   return meta;
 }
 
+bool writeCrashDump(const Facility& facility, const std::string& path) {
+  const FacilityConfig& fc = facility.config();
+  ShmSession::Config config;
+  config.numProcessors = facility.numProcessors();
+  config.bufferWords = fc.bufferWords;
+  config.numBuffers = fc.buffersPerProcessor;
+  config.maxProducers = 0;  // nobody holds a lease on a crash image
+  config.clockKind = fc.clockKind;
+  config.ticksPerSecond = clockTicksPerSecond(fc.clockKind);
+  try {
+    // create() lays out a valid segment; each block is then overwritten
+    // by the facility's, so the clock only stamps anchors that vanish.
+    ShmSession image = ShmSession::create(path, config, TscClock::ref());
+    for (uint32_t p = 0; p < config.numProcessors; ++p) {
+      image.control(p).copyBlockFrom(facility.control(p));
+    }
+  } catch (const std::exception&) {
+    return false;
+  }
+  return true;
+}
+
 // --- SessionWatchdog ---------------------------------------------------
 
 SessionWatchdog::SessionWatchdog(ShmSession& session, Sink& sink)
@@ -376,14 +394,22 @@ bool SessionWatchdog::hasPending(uint32_t p) const {
   // lap, or events parked in the current partial buffer.
   const ShmTraceControl& c = controls_[p];
   return c.currentIndex() >
-         nextSeq_[p] * c.bufferWords() + kAnchorWords;
+         nextSeq_[p] * c.bufferWords() + ShmTraceControl::kAnchorWords;
 }
 
 void SessionWatchdog::drainProcessor(uint32_t p) {
-  ShmTraceControl& c = controls_[p];
+  const ShmTraceControl& c = controls_[p];
   const uint64_t consumed0 = c.buffersConsumed();
   const uint64_t lost0 = c.buffersLost();
-  nextSeq_[p] = c.drainCompleteBuffers(nextSeq_[p], sink_, /*stopAtIncomplete=*/true);
+  // Stop at the first incomplete buffer (reclaim stamps it first), and
+  // when the disk is full downstream: the undrained tail then stays parked
+  // in the segment (cursor untouched) and drains after the storage
+  // emergency clears, instead of being pulled into a sink that can only
+  // shed it (DESIGN.md §15).
+  while (!sink_.exhausted() &&
+         c.harvestOne(nextSeq_[p], sink_, std::chrono::nanoseconds(0),
+                      /*stopAtIncomplete=*/true)) {
+  }
   buffersRecovered_.fetch_add(c.buffersConsumed() - consumed0,
                               std::memory_order_relaxed);
   abandonedBuffers_.fetch_add(c.buffersLost() - lost0, std::memory_order_relaxed);
@@ -405,11 +431,8 @@ void SessionWatchdog::reclaimProcessor(uint32_t p) {
   const uint64_t currentSeq = index / bufferWords;
   const uint32_t ts32 = static_cast<uint32_t>(session_.clock()());
 
-  uint64_t seq = nextSeq_[p];
-  if (currentSeq >= numBuffers && seq + numBuffers <= currentSeq) {
-    seq = currentSeq - numBuffers + 1;  // older laps already overwritten
-  }
-  for (; seq <= currentSeq; ++seq) {
+  for (uint64_t seq = std::max(nextSeq_[p], c.oldestIntactSeq(currentSeq));
+       seq <= currentSeq; ++seq) {
     const ShmSlotState& slot = c.slot(static_cast<uint32_t>(seq & (numBuffers - 1)));
     if (slot.lapSeq.load(std::memory_order_acquire) != seq) continue;
     const uint64_t expected =
@@ -432,19 +455,11 @@ void SessionWatchdog::reclaimProcessor(uint32_t p) {
     // never committed — the producer died (or was fenced) mid-event. With
     // one producer per processor commits land in order, so the committed
     // prefix is intact and the tear is exactly this tail. Stamp filler
-    // event headers over it so the buffer decodes cleanly, then commit the
+    // event headers over it so the buffer decodes cleanly (counted in
+    // reclaimedWords, not the producers' fillerWords), then commit the
     // stamped words to close the lap's accounting.
     const uint64_t torn = expected - lapCommitted;
-    uint64_t at = seq * bufferWords + lapCommitted;
-    uint64_t left = torn;
-    while (left > 0) {
-      const uint32_t len = static_cast<uint32_t>(
-          std::min<uint64_t>(left, EventHeader::kMaxWords));
-      c.storeWord(at, EventHeader::encode(ts32, len, Major::Control,
-                                          static_cast<uint16_t>(ControlMinor::Filler)));
-      at += len;
-      left -= len;
-    }
+    c.stampFillers(seq * bufferWords + lapCommitted, torn, ts32);
     c.commit(seq * bufferWords + lapCommitted, static_cast<uint32_t>(torn));
     tornBuffers_.fetch_add(1, std::memory_order_relaxed);
     reclaimedWords_.fetch_add(torn, std::memory_order_relaxed);

@@ -15,6 +15,9 @@
 //     log fast path refreshes at buffer crossings (one relaxed fetch_add;
 //     see ShmTraceControl::bindHeartbeat). A consumer-side watchdog reads
 //     it to tell a logging producer from a stalled or dead one.
+//   - writeCrashDump: the §4.2 crash image of an in-process Facility is a
+//     segment of this format with no leases, its control blocks copies of
+//     the facility's — the recovery and flight-recorder tools read both.
 //   - SessionWatchdog: drains complete buffers, detects dead pids and
 //     expired leases, fences the affected processors (writerEpoch bump —
 //     the cross-process analogue of the lapSeq stale-commit guard),
@@ -26,7 +29,8 @@
 // Segment layout (all offsets 64-byte aligned, recomputed and verified on
 // attach):
 //   ShmSessionHeader
-//   maxProducers x ShmLease            (64 bytes each)
+//   maxProducers x ShmLease            (64 bytes each; none in a crash
+//                                       image)
 //   numProcessors x control block      (ShmTraceControl::bytesFor each,
 //                                       rounded up to 64)
 #pragma once
@@ -39,8 +43,9 @@
 #include <thread>
 #include <vector>
 
+#include "core/control.hpp"
+#include "core/facility.hpp"
 #include "core/monitor.hpp"
-#include "core/shm.hpp"
 #include "core/sink.hpp"
 #include "core/timestamp.hpp"
 #include "core/trace_file.hpp"
@@ -52,13 +57,19 @@ namespace ktrace {
 struct alignas(64) ShmLease {
   enum : uint32_t { kFree = 0, kClaiming = 1, kActive = 2, kReclaimed = 3 };
 
+  /// The claim: acq_rel CAS out of kFree/kReclaimed, then a release
+  /// store of kActive after the fields below, so the watchdog's acquire
+  /// load of kActive sees them.
   std::atomic<uint32_t> state;
   uint32_t firstProcessor;  // owned processors: [firstProcessor, endProcessor)
   uint32_t endProcessor;
   uint32_t reserved0;
+  // Relaxed: published by the release store of kActive.
   std::atomic<uint64_t> pid;
   std::atomic<uint64_t> epoch;      // session-wide acquisition counter
-  std::atomic<uint64_t> heartbeat;  // bumped by the producer at buffer crossings
+  /// Bumped by the producer at buffer crossings. Relaxed: the watchdog
+  /// only compares successive values, it never reads data through it.
+  std::atomic<uint64_t> heartbeat;
   uint64_t reserved1[3];
 };
 static_assert(sizeof(ShmLease) == 64);
@@ -183,6 +194,14 @@ class ShmSession {
   ShmSessionHeader* header_ = nullptr;
   ShmLease* leases_ = nullptr;
 };
+
+/// Writes a crash image of `facility` (paper §4.2): a session segment with
+/// no leases whose control blocks are copies of the facility's, readable
+/// with ShmSession::attachForRecovery by `ktracetool crashdump` (the
+/// flight-recorder view) and `ktracetool recover` (trace files). Best
+/// taken with producers quiesced; it is exactly as racy as a crash dump.
+/// Returns false on I/O failure.
+bool writeCrashDump(const Facility& facility, const std::string& path);
 
 /// Consumer-side recovery: drains the session, watches leases, and
 /// reclaims dead or expired producers' processors. One instance per

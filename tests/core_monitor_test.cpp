@@ -11,7 +11,7 @@
 #include <thread>
 
 #include "core/batching_sink.hpp"
-#include "core/shm.hpp"
+#include "core/shm_session.hpp"
 #include "test_support.hpp"
 
 namespace ktrace {
@@ -298,7 +298,8 @@ TEST(ShmMonitor, MappedCountersTrackEvents) {
   std::vector<uint64_t> block(
       ShmTraceControl::bytesFor(bufferWords, numBuffers) / 8 + 8);
   ShmTraceControl control = ShmTraceControl::create(
-      block.data(), 0, bufferWords, numBuffers, clock.ref());
+      block.data(),
+      {.bufferWords = bufferWords, .numBuffers = numBuffers, .clock = clock.ref()});
   EXPECT_EQ(control.eventsLogged(), 0u);
   for (int i = 0; i < 6; ++i) {
     ASSERT_TRUE(control.logEvent(Major::Test, 1, uint64_t(i)));  // 2 words

@@ -22,6 +22,8 @@
 #include <utility>
 
 #include "core/decode.hpp"
+#include "core/flight_recorder.hpp"
+#include "test_support.hpp"
 #include "util/faultfs.hpp"
 
 namespace ktrace {
@@ -122,7 +124,7 @@ TEST_F(ShmSessionTest, CreateAttachRoundTrip) {
   EXPECT_EQ(meta.startTicks, 222u);
 
   MemorySink sink;
-  attached.control(1).drainCompleteBuffers(0, sink);
+  testing::harvestAll(attached.control(1), sink);
   const auto events = decodeRecords(sink, 1);
   ASSERT_EQ(events.size(), 5u);
   for (uint64_t i = 0; i < 5; ++i) {
@@ -158,6 +160,22 @@ TEST_F(ShmSessionTest, LeaseHeartbeatRefreshedAtBufferCrossings) {
   EXPECT_GE(session.lease(static_cast<uint32_t>(lease))
                 .heartbeat.load(std::memory_order_relaxed),
             2u);
+
+  // The producer's own TRACE_MONITOR heartbeat carries real counters: with
+  // one logging thread and no flush, w5 (slow-path entries) is exactly the
+  // number of buffer crossings so far.
+  const uint64_t crossings = producer.currentBufferSeq();
+  ASSERT_TRUE(logMonitorHeartbeat(producer, 0, nullptr));
+  FlightRecorderOptions monitorOnly;
+  monitorOnly.maxEvents = 0;
+  monitorOnly.majorMask = TraceMask::bit(Major::Monitor);
+  const auto beats = flightRecorderSnapshot(producer, monitorOnly);
+  ASSERT_EQ(beats.size(), 1u);
+  Heartbeat hb;
+  ASSERT_TRUE(parseHeartbeat(beats[0], hb));
+  EXPECT_EQ(hb.slowPathEntries, crossings);
+  EXPECT_EQ(hb.bufferSeq, crossings);
+  EXPECT_EQ(hb.eventsLogged, 8u + 3 * 32);
 }
 
 TEST_F(ShmSessionTest, LeaseTableFillsReleasesAndRefreshesEpochs) {
@@ -209,7 +227,7 @@ TEST_F(ShmSessionTest, MoveAssignOverLiveSessionReleasesTheOldMapping) {
     EXPECT_EQ(b.path(), pathA);
     b.control(0).flushCurrentBuffer();
     MemorySink sink;
-    b.control(0).drainCompleteBuffers(0, sink);
+    testing::harvestAll(b.control(0), sink);
     const auto events = decodeRecords(sink, 0);
     ASSERT_EQ(events.size(), 1u);
     EXPECT_EQ(events[0].data[0], 7u);
@@ -347,8 +365,8 @@ TEST_F(ShmSessionTest, WholeSegmentBitFlipsNeverCrash) {
       ShmSession session = ShmSession::attach(bad, TscClock::ref());
       MemorySink sink;
       for (uint32_t p = 0; p < session.numProcessors(); ++p) {
-        (void)session.control(p).snapshot(32);
-        session.control(p).drainCompleteBuffers(0, sink);
+        (void)flightRecorderSnapshot(session.control(p), {.maxEvents = 32});
+        testing::harvestAll(session.control(p), sink);
       }
       SessionWatchdog::Config wcfg;
       wcfg.checkPids = false;  // a flipped pid field must never be probed

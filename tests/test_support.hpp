@@ -62,6 +62,16 @@ inline std::vector<DecodedEvent> decodeRecords(const std::vector<BufferRecord>& 
   return events;
 }
 
+/// Loops the harvest over every complete buffer from `nextSeq` on, with no
+/// straggler grace and no stop at incomplete buffers; returns the next seq.
+inline uint64_t harvestAll(const ShmTraceControl& control, Sink& sink,
+                           uint64_t nextSeq = 0) {
+  while (control.harvestOne(nextSeq, sink, std::chrono::nanoseconds(0),
+                            /*stopAtIncomplete=*/false)) {
+  }
+  return nextSeq;
+}
+
 /// Flush, drain, and decode everything the facility has logged so far.
 inline std::vector<DecodedEvent> drainAndDecode(Facility& facility, Consumer& consumer,
                                                 MemorySink& sink,

@@ -11,7 +11,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "core/crash_dump.hpp"
 #include "core/ktrace.hpp"
 #include "ossim/machine.hpp"
 #include "workload/sdet.hpp"
@@ -71,7 +70,7 @@ class ToolCliTest : public ::testing::Test {
     cpu0_ = files.pathFor(0);
     cpu1_ = files.pathFor(1);
 
-    ASSERT_TRUE(writeCrashDump(facility, (dir_ / "crash.k42dump").string()));
+    ASSERT_TRUE(writeCrashDump(facility, (dir_ / "crash.kses").string()));
   }
 
   /// Runs the tool, captures stdout, returns exit code.
@@ -391,7 +390,7 @@ TEST_F(ToolCliTest, RecoverRejectsCorruptSegmentWithExitFour) {
 
 TEST_F(ToolCliTest, CrashDumpReader) {
   std::string out;
-  ASSERT_EQ(runTool("crashdump " + (dir_ / "crash.k42dump").string() +
+  ASSERT_EQ(runTool("crashdump " + (dir_ / "crash.kses").string() +
                         " --cpu=0 --max=10",
                     out),
             0);

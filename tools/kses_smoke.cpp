@@ -62,39 +62,6 @@ uint64_t readCount(const std::string& path) {
   return count;
 }
 
-/// Logs one TRACE_MONITOR heartbeat from the producer side of a shared
-/// segment. ShmTraceControl is not a TraceControl, so logMonitorHeartbeat
-/// does not apply; this builds the same 18-word payload from the shm
-/// counters (retry/slowpath/dropped/sink/recovery words have no shm-side
-/// accessors and stay zero). Counters are read BEFORE the heartbeat's own
-/// event is logged — the [h1, h2) interval identity the completeness
-/// analysis replays.
-bool logShmHeartbeat(ShmTraceControl& producer, uint64_t seq) {
-  const uint64_t payload[kHeartbeatPayloadWords] = {
-      seq,
-      producer.currentBufferSeq(),
-      producer.eventsLogged(),
-      producer.wordsReservedCount(),
-      0,  // reserveRetries
-      0,  // slowPathEntries
-      0,  // eventsDropped
-      producer.fillerWordsWritten(),
-      producer.buffersConsumed(),
-      producer.buffersLost(),
-      producer.commitMismatches(),
-      0,  // sinkDropped
-      0,  // sinkBackpressure
-      producer.staleCommits(),
-      0,  // reclaimedWords
-      0,  // tornBuffers
-      0,  // sinkBytesWritten
-      0,  // sinkRawBytes
-  };
-  return producer.logEventData(Major::Monitor,
-                               static_cast<uint16_t>(MonitorMinor::Heartbeat),
-                               payload);
-}
-
 int runCreate(const util::Cli& cli) {
   const std::string path = cli.positional()[1];
   ShmSession::Config cfg;
@@ -143,7 +110,11 @@ int runProduce(const util::Cli& cli) {
     }
     committed = start + i + 1;
     if (heartbeatEvery != 0 && committed % heartbeatEvery == 0) {
-      logShmHeartbeat(producer, heartbeatSeq++);
+      // The block's harvest counters stand in for a consumer's.
+      const Consumer::Stats drained{producer.buffersConsumed(),
+                                    producer.commitMismatches(),
+                                    producer.buffersLost()};
+      logMonitorHeartbeat(producer, heartbeatSeq++, &drained);
     }
     if (!countFile.empty() && (committed % 256 == 0 || i + 1 == events)) {
       writeCount(countFile, committed);

@@ -1,7 +1,8 @@
 // ktracetool — command-line front end for the analysis suite.
 //
 // Operates on the per-processor .ktrc files a FileSink writes (or a crash
-// dump from writeCrashDump). One subcommand per tool:
+// image from writeCrashDump, which is a session segment). One subcommand
+// per tool:
 //
 //   ktracetool list     a.cpu0.ktrc a.cpu1.ktrc [--max=N] [--start=s] [--end=s]
 //   ktracetool locks    ... [--top=N] [--sort=time|count|spin|max]
@@ -15,7 +16,7 @@
 //   ktracetool deadlock ...
 //   ktracetool intervals ...                      (latency distributions)
 //   ktracetool hotspots ... [--counter=0] [--top=N]
-//   ktracetool crashdump <dump.k42dump> [--cpu=N] [--max=N]
+//   ktracetool crashdump <dump.kses> [--cpu=N] [--max=N]
 //   ktracetool fsck     a.cpu0.ktrc ...              (validate / salvage report)
 //   ktracetool monitor  ... [--json]                 (self-monitoring counters)
 //   ktracetool recover  <segment.kses> [--out=out.ktrace]  (salvage a dead
@@ -60,7 +61,6 @@
 #include "analysis/streaming/monitors.hpp"
 #include "analysis/time_attribution.hpp"
 #include "analysis/timeline.hpp"
-#include "core/crash_dump.hpp"
 #include "core/ktrace.hpp"
 #include "core/shm_session.hpp"
 #include "ossim/events.hpp"
@@ -91,7 +91,7 @@ int usage() {
       "  deadlock   lock-cycle detection         (exit 3 when a cycle is found)\n"
       "  intervals  latency distributions\n"
       "  hotspots   hw-counter hotspots          [--counter=0] [--top=N]\n"
-      "  crashdump  flight-recorder dump         <dump.k42dump> [--cpu=N] [--max=N]\n"
+      "  crashdump  flight-recorder dump         <dump.kses> [--cpu=N] [--max=N]\n"
       "  fsck       validate / salvage report    (exit 4 when damage is found)\n"
       "  monitor    self-monitoring counters     [--json]\n"
       "  top        streaming-window replay      [--window-ms=N] [--monitors=FILE]\n"
@@ -820,7 +820,8 @@ int run(const util::Cli& cli) {
   }
 
   if (command == "crashdump") {
-    CrashDumpReader dump(files[0]);
+    // Mapped copy-on-write like `recover`: reading never touches the image.
+    const ShmSession dump = ShmSession::attachForRecovery(files[0], TscClock::ref());
     FlightRecorderOptions opts;
     opts.maxEvents = static_cast<size_t>(cli.getInt("max", 64));
     const uint32_t cpu = static_cast<uint32_t>(cli.getInt("cpu", 0));
@@ -828,7 +829,10 @@ int run(const util::Cli& cli) {
       std::fprintf(stderr, "dump has %u processors\n", dump.numProcessors());
       return 1;
     }
-    std::fputs(dump.report(cpu, registry, opts).c_str(), stdout);
+    std::fputs(flightRecorderReport(dump.control(cpu), registry,
+                                    dump.header().ticksPerSecond, opts)
+                   .c_str(),
+               stdout);
     return 0;
   }
 
