@@ -62,6 +62,15 @@ TEST_F(LockFixture, SeparateChainsGetSeparateRows) {
   ASSERT_EQ(rows.size(), 2u);
   EXPECT_EQ(rows[0].chain, (std::vector<uint64_t>{88}));  // 500 > 100
   EXPECT_EQ(rows[1].chain, (std::vector<uint64_t>{77}));
+  // A release carries no chain, so its hold time goes to the (lock, pid)
+  // row with the most contentions; both rows have one, and the tie goes to
+  // the first-created row (chain 77), which takes both holds: 100 + 50.
+  ASSERT_EQ(rows[0].contendedCount, 1u);
+  ASSERT_EQ(rows[1].contendedCount, 1u);
+  EXPECT_EQ(rows[1].totalHoldTicks, 150u);
+  EXPECT_EQ(rows[1].releaseCount, 2u);
+  EXPECT_EQ(rows[0].totalHoldTicks, 0u);
+  EXPECT_EQ(rows[0].releaseCount, 0u);
 }
 
 TEST_F(LockFixture, SortKeysSelectDifferentWinners) {
