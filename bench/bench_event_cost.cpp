@@ -80,7 +80,8 @@ void BM_LogEventTyped4(benchmark::State& state) {
   TraceControl& control = facility.control(0);
   uint64_t v = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(logEvent(control, Major::Test, 1, ++v, v, v, v));
+    ++v;
+    benchmark::DoNotOptimize(logEvent(control, Major::Test, 1, v, v, v, v));
   }
   state.SetItemsProcessed(state.iterations());
 }

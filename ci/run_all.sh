@@ -1,6 +1,6 @@
 #!/bin/sh
 # The whole verification gauntlet in one command:
-#   1. tier-1 build + full ctest suite (plain toolchain)
+#   1. tier-1 build (-Werror) + full ctest suite (plain toolchain)
 #   2. ASan+UBSan build + full ctest suite
 #   3. TSan build + `concurrent`-labelled tests (ci/run_tsan.sh)
 #   4. monitor smoke: heartbeat trace -> ktracetool monitor --json
@@ -27,8 +27,8 @@ set -eu
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 prefix="${1:-$repo/build}"
 
-echo "==> [1/11] tier-1: plain build + ctest"
-cmake -B "$prefix" -S "$repo"
+echo "==> [1/11] tier-1: plain build + ctest (warnings are errors)"
+cmake -B "$prefix" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$prefix" -j "$(nproc)"
 (cd "$prefix" && ctest --output-on-failure)
 

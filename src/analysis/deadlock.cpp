@@ -50,6 +50,8 @@ DeadlockDetector::DeadlockDetector(const TraceSet& trace) {
         }
         break;
       }
+      case ossim::LockMinor::HotSwap:
+        break;
     }
   }
 

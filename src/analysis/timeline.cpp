@@ -111,6 +111,7 @@ struct LaneState {
           case ossim::LockMinor::ContendStart: inLockWait = true; break;
           case ossim::LockMinor::Acquired: inLockWait = false; break;
           case ossim::LockMinor::Release: break;
+          case ossim::LockMinor::HotSwap: break;
         }
         break;
       default:

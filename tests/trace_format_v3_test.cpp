@@ -90,7 +90,9 @@ TEST(LzCodec, RoundTripsEdgeSizes) {
     EXPECT_EQ(util::lzDecompress(dst.data(), csize, out.data(), n),
               static_cast<ptrdiff_t>(n))
         << n;
-    if (n != 0) EXPECT_EQ(std::memcmp(out.data(), src.data(), n), 0) << n;
+    if (n != 0) {
+      EXPECT_EQ(std::memcmp(out.data(), src.data(), n), 0) << n;
+    }
   }
 }
 
