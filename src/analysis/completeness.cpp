@@ -28,7 +28,7 @@ CompletenessReport CompletenessReport::analyze(const TraceSet& trace) {
   // trivially provide.
   streaming::CompletenessFold fold;
   for (uint32_t p = 0; p < trace.numProcessors(); ++p) {
-    for (const DecodedEvent& e : trace.processorEvents(p)) fold.onEvent(e);
+    fold.onEvents(trace.processorEvents(p));
   }
   fold.finish();
   return fromFold(std::move(fold), trace.stats());

@@ -19,7 +19,7 @@ EventStats::EventStats(const TraceSet& trace) {
   // one implementation, identical results live and offline.
   streaming::EventRateFold fold(trace.numProcessors());
   for (uint32_t p = 0; p < trace.numProcessors(); ++p) {
-    for (const DecodedEvent& e : trace.processorEvents(p)) fold.onEvent(e);
+    fold.onEvents(trace.processorEvents(p));
   }
   fold.finish();
   *this = EventStats(std::move(fold));

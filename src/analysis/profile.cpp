@@ -13,7 +13,7 @@ Profile::Profile(const TraceSet& trace) {
   // one implementation, identical results live and offline.
   streaming::ProfileFold fold;
   for (uint32_t p = 0; p < trace.numProcessors(); ++p) {
-    for (const DecodedEvent& e : trace.processorEvents(p)) fold.onEvent(e);
+    fold.onEvents(trace.processorEvents(p));
   }
   fold.finish();
   *this = Profile(std::move(fold));

@@ -39,40 +39,84 @@ std::string jsonNumber(double v) {
 
 StreamEngine::StreamEngine(StreamEngineConfig config,
                            std::vector<DerivedMonitor> monitors)
-    : config_(config), monitors_(std::move(monitors)) {}
+    : config_(config), monitors_(std::move(monitors)),
+      keepHeartbeats_(config_.windowTicks != 0 && !monitors_.empty()) {}
 
 void StreamEngine::addFold(std::unique_ptr<Fold> fold) {
   folds_.push_back(std::move(fold));
 }
 
-StreamEngine::Window* StreamEngine::windowFor(uint64_t index) {
+StreamEngine::Processor& StreamEngine::processorFor(uint32_t id) {
+  if (hotProcessor_ < processors_.size() &&
+      processors_[hotProcessor_].id == id) {
+    return processors_[hotProcessor_];
+  }
+  auto it = std::lower_bound(
+      processors_.begin(), processors_.end(), id,
+      [](const Processor& p, uint32_t v) { return p.id < v; });
+  if (it == processors_.end() || it->id != id) {
+    it = processors_.insert(it, Processor{});
+    it->id = id;
+  }
+  hotProcessor_ = static_cast<size_t>(it - processors_.begin());
+  return *it;
+}
+
+StreamEngine::Window* StreamEngine::windowFor(uint64_t index,
+                                              uint64_t watermark) {
+  if (hotWindow_ != nullptr && hotWindow_->index == index) return hotWindow_;
+  if (index < prunedBelow_) return nullptr;  // aged out: a late event
   auto [it, inserted] = windows_.try_emplace(index);
   if (inserted) {
     it->second.index = index;
     // A window created below the watermark (a straggler processor's first
     // buffer) is already complete — its end has been passed.
-    if (finished_ || (index + 1) * config_.windowTicks <= watermark_) {
+    if (finished_ || (index + 1) * config_.windowTicks <= watermark) {
       it->second.complete = true;
       ++windowsCompleted_;
     }
-    while (windows_.size() > config_.maxWindows) {
-      const auto oldest = windows_.begin();
-      prunedBelow_ = oldest->first + 1;
-      windows_.erase(oldest);
+    // Catch up on completions a per-event feed would have made by now
+    // (a no-op there); the new window cannot change what they are.
+    completeWindows(watermark);
+    if (windows_.size() > config_.maxWindows) {
+      hotWindow_ = nullptr;
+      while (windows_.size() > config_.maxWindows) {
+        const auto oldest = windows_.begin();
+        prunedBelow_ = oldest->first + 1;
+        windows_.erase(oldest);
+      }
+      pruneHeartbeats();
+      // The new window itself can be the oldest: then it is late too.
+      if (index < prunedBelow_) return nullptr;
     }
   }
-  return &it->second;
+  hotWindow_ = &it->second;
+  return hotWindow_;
 }
 
-void StreamEngine::advanceWatermark() {
-  if (procLastTick_.empty()) return;
-  uint64_t wm = UINT64_MAX;
-  for (const auto& [p, tick] : procLastTick_) wm = std::min(wm, tick);
-  watermark_ = wm;
+void StreamEngine::countInto(Window* w, uint32_t processor, uint64_t events) {
+  if (events == 0) return;
+  if (w == nullptr) {
+    lateEvents_ += events;
+    return;
+  }
+  w->events += events;
+  auto& cpus = w->perProcessor;
+  auto it = cpus.begin();
+  while (it != cpus.end() && it->first < processor) ++it;
+  if (it == cpus.end() || it->first != processor) {
+    it = cpus.insert(it, {processor, 0});
+  }
+  it->second += events;
+}
+
+void StreamEngine::completeWindows(uint64_t watermark) {
   if (config_.windowTicks == 0) return;
+  // Every window from completedBelow_ on ends at or after this tick.
+  if (watermark < (completedBelow_ + 1) * config_.windowTicks) return;
   for (auto it = windows_.lower_bound(completedBelow_); it != windows_.end();
        ++it) {
-    if ((it->first + 1) * config_.windowTicks > watermark_) break;
+    if ((it->first + 1) * config_.windowTicks > watermark) break;
     if (!it->second.complete) {
       it->second.complete = true;
       ++windowsCompleted_;
@@ -81,30 +125,95 @@ void StreamEngine::advanceWatermark() {
   }
 }
 
-void StreamEngine::observe(const DecodedEvent& e) {
-  ++eventsObserved_;
-  const uint64_t tick = e.fullTimestamp;
-  uint64_t& last = procLastTick_[e.processor];
-  if (tick > last) last = tick;
-
-  Heartbeat hb;
-  if (parseHeartbeat(e, hb)) heartbeats_[e.processor].push_back({tick, hb});
-
-  if (config_.windowTicks != 0) {
-    const uint64_t index = tick / config_.windowTicks;
-    if (index < prunedBelow_) {
-      ++lateEvents_;
-    } else {
-      Window* w = windowFor(index);
-      w->events += 1;
-      w->perProcessor[e.processor] += 1;
-    }
+void StreamEngine::pruneHeartbeats() {
+  // varsForWindow reads, per processor, the newest heartbeat at or before
+  // a retained window's end; no retained window ends at or before the
+  // start of window prunedBelow_, so one heartbeat at or before that
+  // start is all the history it can still reach.
+  const uint64_t start = prunedBelow_ * config_.windowTicks;
+  for (Processor& p : processors_) {
+    std::deque<HeartbeatAt>& hist = p.heartbeats;
+    const auto after = std::upper_bound(
+        hist.begin(), hist.end(), start,
+        [](uint64_t v, const HeartbeatAt& h) { return v < h.tick; });
+    if (after - hist.begin() > 1) hist.erase(hist.begin(), after - 1);
   }
-  advanceWatermark();
+}
+
+size_t StreamEngine::heartbeatsRetained() const noexcept {
+  size_t n = 0;
+  for (const Processor& p : processors_) n += p.heartbeats.size();
+  return n;
+}
+
+void StreamEngine::observeSlice(std::span<const DecodedEvent> events) {
+  // One processor's events. `watermark` tracks what observe() would hold
+  // before each event — the minimum last tick over every processor — so a
+  // window created mid-slice is born complete, and older windows complete
+  // before it can push them out, exactly as event by event. After the
+  // slice's first event that watermark never falls, so completing windows
+  // only there and at the end reaches the same state as after every event.
+  const uint32_t cpu = events.front().processor;
+  Processor& proc = processorFor(cpu);
+  uint64_t others = UINT64_MAX;
+  for (const Processor& p : processors_) {
+    if (p.id != cpu) others = std::min(others, p.lastTick);
+  }
+  eventsObserved_ += events.size();
+  uint64_t last = proc.lastTick;
+  uint64_t watermark = watermark_;
+
+  const uint64_t width = config_.windowTicks;
+  Window* window = nullptr;
+  uint64_t windowStart = 1;  // [windowStart, windowEnd): empty until the
+  uint64_t windowEnd = 0;    // first event picks its window
+  uint64_t counted = 0;
+  for (const DecodedEvent& e : events) {
+    const uint64_t tick = e.fullTimestamp;
+    if (e.header.major == Major::Monitor && keepHeartbeats_) {
+      Heartbeat hb;
+      if (parseHeartbeat(e, hb)) proc.heartbeats.push_back({tick, hb});
+    }
+    if (width != 0) {
+      if (tick < windowStart || tick >= windowEnd) {
+        countInto(window, cpu, counted);
+        counted = 0;
+        const uint64_t index = tick / width;
+        windowStart = index * width;
+        windowEnd = windowStart + width;
+        window = windowFor(index, watermark);
+      }
+      ++counted;
+    }
+    if (tick > last) last = tick;
+    watermark = std::min(others, last);
+  }
+  countInto(window, cpu, counted);
+  proc.lastTick = last;
+  watermark_ = watermark;
+  completeWindows(watermark_);
+}
+
+void StreamEngine::observe(const DecodedEvent& e) {
+  observeSlice(std::span<const DecodedEvent>(&e, 1));
+}
+
+void StreamEngine::observeRun(std::span<const DecodedEvent> run) {
+  while (!run.empty()) {
+    const uint32_t cpu = run.front().processor;
+    size_t n = 1;
+    while (n < run.size() && run[n].processor == cpu) ++n;
+    observeSlice(run.first(n));
+    run = run.subspan(n);
+  }
 }
 
 void StreamEngine::onOrdered(const DecodedEvent& e) {
   for (const auto& fold : folds_) fold->onEvent(e);
+}
+
+void StreamEngine::onOrdered(std::span<const DecodedEvent> events) {
+  for (const auto& fold : folds_) fold->onEvents(events);
 }
 
 void StreamEngine::finish() {
@@ -118,7 +227,7 @@ void StreamEngine::finish() {
   }
   if (!windows_.empty()) completedBelow_ = windows_.rbegin()->first + 1;
   uint64_t wm = watermark_;
-  for (const auto& [p, tick] : procLastTick_) wm = std::max(wm, tick);
+  for (const Processor& p : processors_) wm = std::max(wm, p.lastTick);
   watermark_ = wm;
   for (const auto& fold : folds_) fold->finish();
 }
@@ -131,7 +240,9 @@ MonitorVars StreamEngine::varsForWindow(const Window& w,
          wordsReserved = 0, stale = 0;
   const HeartbeatAt* newest = nullptr;
   uint32_t newestProc = 0;
-  for (const auto& [p, hist] : heartbeats_) {
+  for (const Processor& proc : processors_) {
+    const uint32_t p = proc.id;
+    const std::deque<HeartbeatAt>& hist = proc.heartbeats;
     // Newest heartbeat at or before the window end; per-processor
     // histories are timestamp-ordered, so this is a binary search.
     const auto it = std::upper_bound(
@@ -195,7 +306,7 @@ std::string StreamEngine::snapshotJson(const std::string& tenant) const {
       "\"late_events\":%llu,\"windows_completed\":%llu,"
       "\"watermark_tick\":%llu,\"folds\":[",
       name.c_str(), static_cast<unsigned long long>(config_.windowTicks),
-      jsonNumber(config_.ticksPerSecond).c_str(), procLastTick_.size(),
+      jsonNumber(config_.ticksPerSecond).c_str(), processors_.size(),
       static_cast<unsigned long long>(eventsObserved_),
       static_cast<unsigned long long>(lateEvents_),
       static_cast<unsigned long long>(windowsCompleted_),

@@ -19,6 +19,17 @@
 //                 feeding the attached Folds (lock contention needs exact
 //                 merge order).
 //
+// Both planes also take whole runs, which is how the live tap feeds them:
+// observeRun() a decoded buffer as it arrives (one processor, timestamps
+// never decreasing), onOrdered(span) each span the merger releases —
+// the longest prefix of one lane's front run that sorts before every
+// other lane's next possible event. Neither keeps a reference past the
+// call: a released span is valid only until the merger's next push or
+// call. The run entry counts a window's events by segment, sets the
+// processor's last tick and advances the watermark once per run, and
+// parses heartbeats only from Major::Monitor events; the engine ends up
+// exactly as the same events fed to observe() one by one would leave it.
+//
 // A window completes when the watermark — the minimum last-seen timestamp
 // across every processor that has produced events — passes its end; the
 // derived-monitor inputs for that window (each processor's newest
@@ -30,9 +41,12 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/streaming/fold.hpp"
@@ -64,8 +78,16 @@ class StreamEngine {
   /// Order-insensitive plane: every decoded event, any arrival order.
   void observe(const DecodedEvent& event);
 
+  /// Order-insensitive plane, a run at a time: the same state as
+  /// observe() on each event in turn (a span that switches processor is
+  /// taken one same-processor stretch at a time).
+  void observeRun(std::span<const DecodedEvent> run);
+
   /// Ordered plane: merged-order feed for the folds.
   void onOrdered(const DecodedEvent& event);
+
+  /// Ordered plane, a released span at a time (one call per fold).
+  void onOrdered(std::span<const DecodedEvent> events);
 
   /// End of stream: every window with data completes (there is no more
   /// data to wait for) and the folds finalize.
@@ -74,6 +96,11 @@ class StreamEngine {
   uint64_t eventsObserved() const noexcept { return eventsObserved_; }
   uint64_t windowsCompleted() const noexcept { return windowsCompleted_; }
   uint64_t watermark() const noexcept { return watermark_; }
+
+  /// Heartbeats held for monitor evaluation, over all processors. Bounded
+  /// by the retained windows: per processor, the newest heartbeat at or
+  /// before the oldest retained window's start, and everything after it.
+  size_t heartbeatsRetained() const noexcept;
 
   /// NDJSON snapshot: one "top" line, one "window" line per retained
   /// *completed* window (ascending index), one "monitor" summary line per
@@ -91,16 +118,28 @@ class StreamEngine {
   struct Window {
     uint64_t index = 0;
     uint64_t events = 0;
-    std::map<uint32_t, uint64_t> perProcessor;
+    std::vector<std::pair<uint32_t, uint64_t>> perProcessor;  // ascending cpu
     bool complete = false;
   };
   struct HeartbeatAt {
     uint64_t tick = 0;
     Heartbeat hb{};
   };
+  struct Processor {
+    uint32_t id = 0;
+    uint64_t lastTick = 0;
+    // Timestamp-ordered (per-processor streams are timestamp-ordered by
+    // construction); kept only while windows and monitors are on, and
+    // dropped from the front as windows age out.
+    std::deque<HeartbeatAt> heartbeats;
+  };
 
-  Window* windowFor(uint64_t index);
-  void advanceWatermark();
+  Processor& processorFor(uint32_t id);
+  void observeSlice(std::span<const DecodedEvent> events);
+  Window* windowFor(uint64_t index, uint64_t watermark);
+  void countInto(Window* w, uint32_t processor, uint64_t events);
+  void completeWindows(uint64_t watermark);
+  void pruneHeartbeats();
   MonitorVars varsForWindow(const Window& w, uint64_t cumEvents) const;
 
   StreamEngineConfig config_;
@@ -108,10 +147,11 @@ class StreamEngine {
   std::vector<std::unique_ptr<Fold>> folds_;
 
   std::map<uint64_t, Window> windows_;
-  std::map<uint32_t, uint64_t> procLastTick_;
-  // Per-processor heartbeat history, timestamp-ordered (per-processor
-  // streams are timestamp-ordered by construction).
-  std::map<uint32_t, std::vector<HeartbeatAt>> heartbeats_;
+  Window* hotWindow_ = nullptr;  // last window counted into; map nodes are
+                                 // stable, so valid until it ages out
+  std::vector<Processor> processors_;  // ascending id
+  size_t hotProcessor_ = 0;            // index of the last one looked up
+  bool keepHeartbeats_ = false;        // windows and monitors are on
 
   uint64_t watermark_ = 0;
   uint64_t eventsObserved_ = 0;

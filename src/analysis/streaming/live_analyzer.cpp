@@ -21,11 +21,17 @@ void LiveAnalyzer::ingest(const BufferRecord& record) {
   scratch_.clear();
   decodeBuffer(record.words, record.seq, p, tsBase_[p], scratch_,
                decodeOptions_);
-  for (DecodedEvent& e : scratch_) {
-    engine_.observe(e);
-    merger_.push(p, std::move(e));
+  if (scratch_.empty()) return;
+  engine_.observeRun(scratch_);
+  merger_.push(p, exactRun(scratch_));
+  drainOrdered();
+}
+
+void LiveAnalyzer::drainOrdered() {
+  for (auto span = merger_.nextSpan(); !span.empty();
+       span = merger_.nextSpan()) {
+    engine_.onOrdered(span);
   }
-  while (const DecodedEvent* e = merger_.next()) engine_.onOrdered(*e);
 }
 
 void LiveAnalyzer::onBuffer(BufferRecord&& record) {
@@ -49,7 +55,7 @@ void LiveAnalyzer::finish() {
   if (finished_) return;
   finished_ = true;
   merger_.finish();
-  while (const DecodedEvent* e = merger_.next()) engine_.onOrdered(*e);
+  drainOrdered();
   engine_.finish();
 }
 

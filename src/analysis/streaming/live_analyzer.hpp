@@ -1,9 +1,10 @@
 // Live analysis as a Sink decorator (DESIGN.md §13).
 //
 // Sits between a tenant's BatchingSink and its FileSink: every buffer
-// record that is about to become durable is decoded once and fed to a
-// StreamEngine — the unordered plane directly, the ordered plane through
-// an OrderedMerger — then handed to the real sink untouched. Placing the
+// record that is about to become durable is decoded once into a run and
+// fed to a StreamEngine whole — the unordered plane directly
+// (observeRun), the ordered plane through an OrderedMerger, span by
+// released span — then handed to the real sink untouched. Placing the
 // tap *downstream* of the batching queue means quota sheds and queue
 // drops never reach the engine, so the live numbers describe exactly the
 // events that land in the files: an offline replay of those files
@@ -49,8 +50,15 @@ class LiveAnalyzer final : public Sink {
   uint64_t eventsObserved() const;
   uint64_t windowsCompleted() const;
 
+  /// The attached folds, in the order above. Read them only after
+  /// finish(): until then the writer thread folds into them.
+  const std::vector<std::unique_ptr<Fold>>& folds() const noexcept {
+    return engine_.folds();
+  }
+
  private:
   void ingest(const BufferRecord& record);
+  void drainOrdered();
 
   Sink& downstream_;
   mutable std::mutex mutex_;

@@ -1,0 +1,513 @@
+// The live tap at run granularity (DESIGN.md §13): a decoded buffer is
+// one run, observed, merged and folded whole. These tests pin the three
+// claims that make that safe:
+//   - StreamEngine::observeRun leaves the engine exactly as observe() on
+//     each event would, snapshot for snapshot, through window creation
+//     below the watermark, stragglers and pruning inside a run;
+//   - the heartbeat history is bounded by the retained windows, without
+//     changing any retained window's monitor values;
+//   - OrderedMerger's released spans join into exactly MergeCursor's
+//     order for randomized per-lane runs with timestamp ties, pushed
+//     interleaved or whole-backlog-first, and LiveAnalyzer's folds after
+//     finish() equal the post-hoc tools over the same files.
+#include <gtest/gtest.h>
+
+#include <unistd.h>
+
+#include <algorithm>
+#include <filesystem>
+#include <map>
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "analysis/completeness.hpp"
+#include "analysis/event_stats.hpp"
+#include "analysis/lock_analysis.hpp"
+#include "analysis/profile.hpp"
+#include "analysis/reader.hpp"
+#include "analysis/streaming/engine.hpp"
+#include "analysis/streaming/folds.hpp"
+#include "analysis/streaming/live_analyzer.hpp"
+#include "analysis/streaming/monitors.hpp"
+#include "analysis/streaming/stream_cursor.hpp"
+#include "core/ktrace.hpp"
+#include "ossim/events.hpp"
+#include "util/rng.hpp"
+
+namespace ktrace {
+namespace {
+
+namespace streaming = analysis::streaming;
+
+DecodedEvent makeEvent(uint32_t proc, uint64_t tick) {
+  DecodedEvent e;
+  e.header.timestamp = static_cast<uint32_t>(tick);
+  e.header.lengthWords = 1;
+  e.header.major = Major::App;
+  e.fullTimestamp = tick;
+  e.processor = proc;
+  return e;
+}
+
+DecodedEvent makeHeartbeat(uint32_t proc, uint64_t tick, uint64_t seq,
+                           uint64_t eventsLogged, uint64_t consumerLost) {
+  std::vector<uint64_t> payload(kHeartbeatPayloadWords, 0);
+  payload[0] = seq;
+  payload[2] = eventsLogged;
+  payload[9] = consumerLost;
+  DecodedEvent e = makeEvent(proc, tick);
+  e.header.lengthWords = kHeartbeatPayloadWords + 1;
+  e.header.major = Major::Monitor;
+  e.header.minor = static_cast<uint16_t>(MonitorMinor::Heartbeat);
+  e.data.assign(payload.data(), kHeartbeatPayloadWords);
+  return e;
+}
+
+const char* kMonitors =
+    "loss_ratio = lost / (logged + lost)\n"
+    "logged_total = logged\n";
+
+// --- observeRun == observe, event by event -----------------------------
+
+TEST(StreamEngineRunTest, RunEntryMatchesEventByEvent) {
+  constexpr uint32_t kProcs = 4;
+  constexpr uint32_t kStraggler = 3;  // starts producing late, far behind
+  for (uint64_t seed = 1; seed <= 12; ++seed) {
+    util::Rng rng(seed);
+    streaming::StreamEngineConfig cfg;
+    cfg.windowTicks = 10;
+    cfg.ticksPerSecond = 1000;
+    cfg.maxWindows = 1 + rng.nextBelow(6);
+    streaming::StreamEngine byRun(cfg, streaming::parseMonitorConfig(kMonitors));
+    streaming::StreamEngine byEvent(cfg,
+                                    streaming::parseMonitorConfig(kMonitors));
+    std::vector<uint64_t> tick(kProcs, 0);
+    std::vector<uint64_t> beats(kProcs, 0);
+    for (int r = 0; r < 160; ++r) {
+      std::vector<DecodedEvent> run;
+      // Now and then one span that switches processor part way.
+      const int pieces = rng.nextBelow(5) == 0 ? 2 : 1;
+      for (int piece = 0; piece < pieces; ++piece) {
+        uint32_t p = static_cast<uint32_t>(rng.nextBelow(kProcs));
+        if (p == kStraggler && r < 80) p = 0;
+        const uint64_t n = 1 + rng.nextBelow(40);
+        for (uint64_t i = 0; i < n; ++i) {
+          tick[p] += rng.nextBelow(8);  // 0: a tie within the run
+          if (rng.nextBelow(6) == 0) {
+            ++beats[p];
+            run.push_back(makeHeartbeat(p, tick[p], beats[p], 10 * tick[p],
+                                        beats[p] % 5));
+          } else {
+            run.push_back(makeEvent(p, tick[p]));
+          }
+        }
+      }
+      byRun.observeRun(run);
+      for (const DecodedEvent& e : run) byEvent.observe(e);
+      ASSERT_EQ(byRun.snapshotJson("t"), byEvent.snapshotJson("t"))
+          << "seed " << seed << " run " << r;
+      ASSERT_EQ(byRun.heartbeatsRetained(), byEvent.heartbeatsRetained());
+    }
+    byRun.finish();
+    byEvent.finish();
+    EXPECT_EQ(byRun.snapshotJson("t"), byEvent.snapshotJson("t"))
+        << "seed " << seed;
+  }
+}
+
+// --- Ties the lane order settles -----------------------------------------
+
+DecodedEvent tagged(uint32_t proc, uint64_t tick, uint16_t tag) {
+  DecodedEvent e = makeEvent(proc, tick);
+  e.header.minor = tag;
+  return e;
+}
+
+TEST(OrderedMergerRunTest, EqualPositionsGoInLaneOrderAndWaitForEmptyLanes) {
+  // Two lanes naming the same processor: an exact (tick, processor) tie
+  // with another lane's front goes to the lower lane, and a tie with an
+  // empty lane's last tick waits — that lane may still log there.
+  streaming::OrderedMerger merger(2);
+  merger.push(1, tagged(5, 10, 1));
+  const DecodedEvent* e = merger.next();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->header.minor, 1u);
+  merger.push(0, tagged(5, 10, 0));
+  EXPECT_EQ(merger.next(), nullptr);
+  merger.push(1, tagged(5, 10, 2));
+  e = merger.next();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->header.minor, 0u);  // lane 0 before lane 1 at (10, 5)
+  EXPECT_EQ(merger.next(), nullptr);
+  merger.finish();
+  e = merger.next();
+  ASSERT_NE(e, nullptr);
+  EXPECT_EQ(e->header.minor, 2u);
+  EXPECT_TRUE(merger.drained());
+}
+
+// --- Heartbeat history is bounded --------------------------------------
+
+/// Window index -> the "monitors":[...] tail of that window's line.
+std::map<uint64_t, std::string> windowMonitors(const std::string& snapshot) {
+  std::map<uint64_t, std::string> out;
+  size_t pos = 0;
+  while (pos < snapshot.size()) {
+    size_t end = snapshot.find('\n', pos);
+    if (end == std::string::npos) end = snapshot.size();
+    const std::string line = snapshot.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.find("\"type\":\"window\"") == std::string::npos) continue;
+    const size_t index = line.find("\"index\":");
+    const size_t monitors = line.find("\"monitors\":");
+    if (index == std::string::npos || monitors == std::string::npos) continue;
+    out[std::stoull(line.substr(index + 8))] = line.substr(monitors);
+  }
+  return out;
+}
+
+TEST(StreamEngineRunTest, HeartbeatHistoryIsBoundedByRetainedWindows) {
+  streaming::StreamEngineConfig cfg;
+  cfg.windowTicks = 100;
+  cfg.ticksPerSecond = 1000;
+  cfg.maxWindows = 4;
+  streaming::StreamEngineConfig keepAll = cfg;
+  keepAll.maxWindows = 1u << 20;
+  streaming::StreamEngine pruned(cfg, streaming::parseMonitorConfig(kMonitors));
+  streaming::StreamEngine full(keepAll,
+                               streaming::parseMonitorConfig(kMonitors));
+
+  constexpr uint64_t kWindows = 10'000;
+  size_t most = 0;
+  uint64_t beats = 0;
+  for (uint64_t w = 0; w < kWindows; ++w) {
+    const uint64_t base = w * 100;
+    // Processor 0 beats in every window, processor 1 in every fifth one,
+    // so the last four windows read processor 1's value from before the
+    // oldest retained window's start.
+    std::vector<DecodedEvent> events;
+    events.push_back(makeEvent(0, base + 10));
+    events.push_back(makeHeartbeat(0, base + 50, w, 10 * w, w % 7));
+    ++beats;
+    if (w % 5 == 0) {
+      events.push_back(makeHeartbeat(1, base + 60, w, 5 * w, 1));
+      ++beats;
+    }
+    events.push_back(makeEvent(1, base + 70));
+    for (const DecodedEvent& e : events) {
+      pruned.observe(e);
+      full.observe(e);
+    }
+    most = std::max(most, pruned.heartbeatsRetained());
+  }
+  // Per processor: at most one beat per retained window plus the one at
+  // or before the oldest retained window's start (and the window that is
+  // being created when the oldest ages out).
+  EXPECT_LE(most, 2 * (cfg.maxWindows + 2));
+  EXPECT_EQ(full.heartbeatsRetained(), beats);
+
+  pruned.finish();
+  full.finish();
+  const auto kept = windowMonitors(pruned.snapshotJson("t"));
+  const auto all = windowMonitors(full.snapshotJson("t"));
+  ASSERT_EQ(kept.size(), cfg.maxWindows);
+  ASSERT_EQ(all.size(), kWindows);
+  for (const auto& [index, monitors] : kept) {
+    ASSERT_EQ(all.count(index), 1u) << index;
+    EXPECT_EQ(monitors, all.at(index)) << "window " << index;
+  }
+  EXPECT_NE(kept.rbegin()->second.find("logged_total"), std::string::npos);
+}
+
+// --- Randomized run merge vs MergeCursor, live folds vs post-hoc ---------
+
+constexpr uint32_t kProcs = 3;
+constexpr uint32_t kBufferWords = 64;
+
+class RunMergeTest : public ::testing::TestWithParam<uint64_t> {
+ protected:
+  void SetUp() override {
+    dir_ = std::filesystem::temp_directory_path() /
+           ("ktrace_stream_runs_" + std::to_string(::getpid()) + "_" +
+            std::to_string(GetParam()));
+    std::filesystem::create_directories(dir_);
+    generate(GetParam());
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  // Logs a random mix — locks, pc samples, heartbeats, app events of 1 to
+  // 7 words — on kProcs processors of a virtual clock that often does
+  // not move between events, so timestamps tie within a buffer and across
+  // processors. Each processor's first buffer holds a single event, at
+  // ticks 1, 2, 3 in processor order: pushing those first registers every
+  // lane before any of its data is due.
+  void generate(uint64_t seed) {
+    FakeClock clock(0, 0);
+    FacilityConfig fcfg;
+    fcfg.numProcessors = kProcs;
+    fcfg.bufferWords = kBufferWords;
+    fcfg.buffersPerProcessor = 1024;
+    fcfg.clockKind = ClockKind::Virtual;
+    fcfg.clockOverride = clock.ref();
+    fcfg.mode = Mode::Stream;
+    Facility facility(fcfg);
+    facility.mask().enableAll();
+    MemorySink sink;
+    Consumer consumer(facility, sink, {});
+
+    for (uint32_t p = 0; p < kProcs; ++p) {
+      clock.set(1 + p);
+      logEvent(facility.control(p), Major::App, 0, p);
+    }
+    facility.flushAll();
+
+    util::Rng rng(seed);
+    uint64_t tick = kProcs + 1;
+    uint64_t beatSeq = 0;
+    for (int i = 0; i < 4000; ++i) {
+      tick += rng.nextBelow(3);
+      clock.set(tick);
+      ShmTraceControl& control =
+          facility.control(static_cast<uint32_t>(rng.nextBelow(kProcs)));
+      const uint64_t kind = rng.nextBelow(10);
+      if (kind < 3) {
+        const uint64_t lock = 1 + rng.nextBelow(3);
+        const uint64_t pid = 1 + rng.nextBelow(3);
+        const uint64_t minor = rng.nextBelow(3);
+        std::vector<uint64_t> words = {lock, pid};
+        if (minor == 0) {
+          const uint64_t chain = rng.nextBelow(3);
+          words.push_back(chain);
+          for (uint64_t c = 0; c < chain; ++c) words.push_back(rng.nextBelow(4));
+        } else {
+          words.push_back(rng.nextBelow(50));
+        }
+        logEventData(control, Major::Lock, static_cast<uint16_t>(minor),
+                     std::span<const uint64_t>(words));
+      } else if (kind == 3) {
+        logEvent(control, Major::Prof,
+                 static_cast<uint16_t>(ossim::ProfMinor::PcSample),
+                 rng.nextBelow(3), rng.nextBelow(6));
+      } else if (kind == 4) {
+        ASSERT_TRUE(logMonitorHeartbeat(control, ++beatSeq, nullptr));
+      } else {
+        std::vector<uint64_t> words(rng.nextBelow(7), tick);
+        logEventData(control, Major::App, static_cast<uint16_t>(kind),
+                     std::span<const uint64_t>(words));
+      }
+    }
+    facility.flushAll();
+    consumer.drainNow();
+
+    perProcessor_.assign(kProcs, {});
+    for (BufferRecord& r : sink.records()) {
+      perProcessor_[r.processor].push_back(std::move(r));
+    }
+    TraceFileMeta meta;
+    meta.numProcessors = kProcs;
+    meta.bufferWords = kBufferWords;
+    meta.clockKind = ClockKind::Virtual;
+    meta.ticksPerSecond = 1e9;
+    FileSink files(dir_.string(), "t", meta);
+    for (const auto& records : perProcessor_) {
+      for (const BufferRecord& r : records) files.onBuffer(BufferRecord(r));
+      ASSERT_GE(records.size(), 3u);
+    }
+    ASSERT_TRUE(files.flush());
+    for (uint32_t p = 0; p < kProcs; ++p) paths_.push_back(files.pathFor(p));
+  }
+
+  // Round-robin over the processors' records.
+  std::vector<const BufferRecord*> interleaved() const {
+    std::vector<const BufferRecord*> order;
+    for (size_t k = 0;; ++k) {
+      bool any = false;
+      for (const auto& records : perProcessor_) {
+        if (k < records.size()) {
+          order.push_back(&records[k]);
+          any = true;
+        }
+      }
+      if (!any) return order;
+    }
+  }
+
+  // Every lane's first record, then each processor's whole backlog in
+  // turn — how SessionWatchdog drains under backpressure.
+  std::vector<const BufferRecord*> backlogFirst() const {
+    std::vector<const BufferRecord*> order;
+    for (const auto& records : perProcessor_) order.push_back(&records[0]);
+    for (const auto& records : perProcessor_) {
+      for (size_t k = 1; k < records.size(); ++k) order.push_back(&records[k]);
+    }
+    return order;
+  }
+
+  using Key = std::tuple<uint64_t, uint32_t, uint64_t, uint32_t, uint8_t,
+                         uint16_t>;
+  static Key key(const DecodedEvent& e) {
+    return {e.fullTimestamp, e.processor, e.bufferSeq, e.offsetInBuffer,
+            static_cast<uint8_t>(e.header.major), e.header.minor};
+  }
+
+  std::vector<Key> mergeCursorOrder() const {
+    const auto trace = analysis::TraceSet::fromFiles(paths_);
+    analysis::MergeCursor cursor(trace);
+    std::vector<Key> keys;
+    while (const DecodedEvent* e = cursor.next()) keys.push_back(key(*e));
+    return keys;
+  }
+
+  std::filesystem::path dir_;
+  std::vector<std::vector<BufferRecord>> perProcessor_;
+  std::vector<std::string> paths_;
+};
+
+TEST_P(RunMergeTest, ReleasedSpansJoinIntoMergeCursorOrder) {
+  const std::vector<Key> expected = mergeCursorOrder();
+  ASSERT_GT(expected.size(), 4000u);
+  bool tiesAcrossLanes = false;
+  for (size_t i = 1; i < expected.size(); ++i) {
+    if (std::get<0>(expected[i]) == std::get<0>(expected[i - 1]) &&
+        std::get<1>(expected[i]) != std::get<1>(expected[i - 1])) {
+      tiesAcrossLanes = true;
+    }
+  }
+  ASSERT_TRUE(tiesAcrossLanes);
+
+  for (const auto& order : {interleaved(), backlogFirst()}) {
+    streaming::OrderedMerger merger(kProcs);
+    std::vector<uint64_t> tsBase(kProcs, 0);
+    std::vector<DecodedEvent> scratch;
+    std::vector<Key> released;
+    size_t spans = 0;
+    const auto drain = [&] {
+      for (auto span = merger.nextSpan(); !span.empty();
+           span = merger.nextSpan()) {
+        ++spans;
+        for (const DecodedEvent& e : span) released.push_back(key(e));
+      }
+    };
+    for (const BufferRecord* r : order) {
+      decodeBuffer(r->words, r->seq, r->processor, tsBase[r->processor],
+                   scratch);
+      merger.push(r->processor, streaming::exactRun(scratch));
+      drain();
+    }
+    EXPECT_GT(merger.buffered(), 0u);  // the tail waits for finish()
+    merger.finish();
+    drain();
+    EXPECT_TRUE(merger.drained());
+    EXPECT_LT(spans, expected.size());  // spans, not single events
+    ASSERT_EQ(released.size(), expected.size());
+    for (size_t i = 0; i < expected.size(); ++i) {
+      ASSERT_EQ(released[i], expected[i]) << "order diverged at " << i;
+    }
+  }
+}
+
+TEST_P(RunMergeTest, NextInterleavedWithPushKeepsMergeCursorOrder) {
+  // next() hands back what it has not returned when a push arrives, so a
+  // reader that drains only part way between pushes sees the same order.
+  const std::vector<Key> expected = mergeCursorOrder();
+  util::Rng rng(GetParam() * 7919);
+  streaming::OrderedMerger merger(kProcs);
+  std::vector<uint64_t> tsBase(kProcs, 0);
+  std::vector<DecodedEvent> scratch;
+  std::vector<Key> released;
+  for (const BufferRecord* r : backlogFirst()) {
+    decodeBuffer(r->words, r->seq, r->processor, tsBase[r->processor],
+                 scratch);
+    merger.push(r->processor, streaming::exactRun(scratch));
+    for (uint64_t take = rng.nextBelow(60); take > 0; --take) {
+      const DecodedEvent* e = merger.next();
+      if (e == nullptr) break;
+      released.push_back(key(*e));
+    }
+  }
+  merger.finish();
+  while (const DecodedEvent* e = merger.next()) released.push_back(key(*e));
+  ASSERT_EQ(released.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    ASSERT_EQ(released[i], expected[i]) << "order diverged at " << i;
+  }
+}
+
+template <class F>
+F copyFold(const streaming::LiveAnalyzer& live, size_t index) {
+  const auto* fold = dynamic_cast<const F*>(live.folds().at(index).get());
+  EXPECT_NE(fold, nullptr);
+  return *fold;
+}
+
+TEST_P(RunMergeTest, LiveFoldsAfterFinishMatchPostHocTools) {
+  const auto trace = analysis::TraceSet::fromFiles(paths_);
+  const analysis::LockAnalysis postLocks(trace);
+  const analysis::EventStats postStats(trace);
+  const analysis::Profile postProfile(trace);
+  const auto postCompleteness = analysis::CompletenessReport::analyze(trace);
+  const analysis::SymbolTable symbols;
+
+  // The offline dashboard: MergeCursor event by event, as `ktracetool top`
+  // replays closed files.
+  streaming::StreamEngineConfig cfg;
+  cfg.ticksPerSecond = 1e9;
+  cfg.windowTicks = 50;
+  streaming::StreamEngine offline(cfg, streaming::defaultMonitors());
+  offline.addFold(std::make_unique<streaming::LockContentionFold>());
+  offline.addFold(std::make_unique<streaming::EventRateFold>(kProcs));
+  offline.addFold(std::make_unique<streaming::ProfileFold>());
+  offline.addFold(std::make_unique<streaming::CompletenessFold>());
+  {
+    analysis::MergeCursor cursor(trace);
+    while (const DecodedEvent* e = cursor.next()) {
+      offline.observe(*e);
+      offline.onOrdered(*e);
+    }
+  }
+  offline.finish();
+
+  for (const auto& order : {interleaved(), backlogFirst()}) {
+    NullSink null;
+    streaming::LiveAnalyzer live(null, kProcs, cfg,
+                                 streaming::defaultMonitors());
+    for (const BufferRecord* r : order) live.onBuffer(BufferRecord(*r));
+    live.finish();
+
+    const analysis::LockAnalysis liveLocks(
+        copyFold<streaming::LockContentionFold>(live, 0));
+    EXPECT_GT(postLocks.totalWaitTicks(), 0u);
+    EXPECT_EQ(postLocks.totalWaitTicks(), liveLocks.totalWaitTicks());
+    EXPECT_EQ(postLocks.unmatchedContends(), liveLocks.unmatchedContends());
+    EXPECT_EQ(postLocks.report(symbols, 1e9, 100),
+              liveLocks.report(symbols, 1e9, 100));
+
+    const analysis::EventStats liveStats(
+        copyFold<streaming::EventRateFold>(live, 1));
+    EXPECT_EQ(postStats.totalEvents(), liveStats.totalEvents());
+    EXPECT_EQ(postStats.report(Registry::global(), 1e9, 100),
+              liveStats.report(Registry::global(), 1e9, 100));
+
+    const analysis::Profile liveProfile(copyFold<streaming::ProfileFold>(live, 2));
+    ASSERT_EQ(postProfile.pids(), liveProfile.pids());
+    for (const uint64_t pid : postProfile.pids()) {
+      EXPECT_EQ(postProfile.report(pid, symbols, "t"),
+                liveProfile.report(pid, symbols, "t"));
+    }
+
+    const auto liveCompleteness = analysis::CompletenessReport::fromFold(
+        copyFold<streaming::CompletenessFold>(live, 3), trace.stats());
+    EXPECT_EQ(postCompleteness.toJson(), liveCompleteness.toJson());
+
+    // Every fold has settled and every window completed, so the whole
+    // live snapshot is the offline one.
+    EXPECT_EQ(live.snapshotJson("t"), offline.snapshotJson("t"));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, RunMergeTest, ::testing::Values(1, 2, 3, 4));
+
+}  // namespace
+}  // namespace ktrace
