@@ -6,13 +6,20 @@
 //
 //   cursor      StreamCursor poll+merge+drain over closed v3 files —
 //               decode included, the replay/tail ingest rate;
+//   tap         LiveAnalyzer::onBufferBatch over the same files' records,
+//               8 per batch as ktraced's BatchingSink hands them over, in
+//               two orders: interleaved across processors, and each
+//               processor's whole backlog in turn (how SessionWatchdog
+//               drains under backpressure);
 //   engine 0/1/8  the full StreamEngine (both planes + the four shipped
-//               folds) over an in-memory merged stream, with 0, 1 and 8
-//               derived monitors and a snapshot every 64 Ki events — the
-//               live-pipeline rate as a function of monitor count.
+//               folds) over an in-memory merged stream, event by event,
+//               with 0, 1 and 8 derived monitors and a snapshot every
+//               64 Ki events — the rate as a function of monitor count.
 //
 // Monitor evaluation is lazy (snapshot-time), so the 0->8 delta isolates
-// exactly what a user's config costs. Emits BENCH_streaming.json.
+// exactly what a user's config costs. Prints a JSON object last; with
+// --out=FILE it is written there too:
+//   bench_streaming_fold [--quick] [--out=BENCH_streaming.json]
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
@@ -22,12 +29,15 @@
 #include "analysis/reader.hpp"
 #include "analysis/streaming/engine.hpp"
 #include "analysis/streaming/folds.hpp"
+#include "analysis/streaming/live_analyzer.hpp"
 #include "analysis/streaming/monitors.hpp"
 #include "analysis/streaming/stream_cursor.hpp"
 #include "analysis/symbols.hpp"
 #include "core/ktrace.hpp"
 #include "ossim/machine.hpp"
+#include "util/cli.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "workload/sdet.hpp"
 
 using namespace ktrace;
@@ -104,23 +114,59 @@ EngineRun runEngine(std::vector<DecodedEvent>& events, uint64_t span,
   return run;
 }
 
+/// Events/s of `passes` fresh LiveAnalyzers, each fed every record in
+/// `order` in batches of 8 and finished.
+double runTap(const std::vector<const BufferRecord*>& order,
+              uint32_t numProcessors, size_t passes) {
+  streaming::StreamEngineConfig cfg;
+  cfg.ticksPerSecond = 1e9;
+  cfg.windowTicks = streaming::windowTicksForMs(0.05, 1e9);
+  constexpr size_t kBatch = 8;
+  NullSink null;
+  uint64_t events = 0;
+  double elapsed = 0;
+  for (size_t pass = 0; pass < passes; ++pass) {
+    streaming::LiveAnalyzer tap(null, numProcessors, cfg,
+                                streaming::defaultMonitors());
+    // Copying the records is setup, not tap work: batches are built
+    // outside the timed region.
+    std::vector<std::vector<BufferRecord>> batches;
+    for (size_t i = 0; i < order.size(); i += kBatch) {
+      std::vector<BufferRecord>& batch = batches.emplace_back();
+      for (size_t k = i; k < std::min(order.size(), i + kBatch); ++k) {
+        batch.push_back(*order[k]);
+      }
+    }
+    const double start = nowNs();
+    for (std::vector<BufferRecord>& b : batches) {
+      tap.onBufferBatch(std::move(b));
+    }
+    tap.finish();
+    elapsed += nowNs() - start;
+    events += tap.eventsObserved();
+  }
+  return elapsed > 0 ? static_cast<double>(events) * 1e9 / elapsed : 0;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  bool quick = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::string_view(argv[i]) == "--quick") quick = true;
-  }
+  const util::Cli cli(argc, argv);
+  const bool quick = cli.getBool("quick", false);
+  const std::string out = cli.getString("out", "");
 
   // One SDET run gives the realistic event mix (locks, syscalls, pc
   // samples, heartbeats); replicas stretch it to benchmark length.
   const std::string dir =
       util::strprintf("/tmp/ktrace_bench_streaming_%d", getpid());
   std::filesystem::create_directories(dir);
+  // Buffers of 256 words: the shipped producer's segment geometry
+  // (tools/kses_smoke.cpp `create`), so a tap run is as long as a live
+  // one.
   FacilityConfig fcfg;
   fcfg.numProcessors = 2;
-  fcfg.bufferWords = 1u << 12;
-  fcfg.buffersPerProcessor = 256;
+  fcfg.bufferWords = 256;
+  fcfg.buffersPerProcessor = 4096;
   fcfg.mode = Mode::Stream;
   Facility facility(fcfg);
   facility.mask().enableAll();
@@ -147,20 +193,62 @@ int main(int argc, char** argv) {
   files.flush();
   const std::vector<std::string> paths = {files.pathFor(0), files.pathFor(1)};
 
-  // Baseline: full replay ingest (open + decode + ordered merge).
-  double cursorEventsPerSec = 0;
+  const uint64_t target = quick ? 200'000 : 2'000'000;
+
+  // Baseline: full replay ingest (open + decode + ordered merge), on one
+  // thread, repeated to about `target` events.
   uint64_t baseEvents = 0;
-  {
+  uint64_t cursorEvents = 0;
+  double cursorNs = 0;
+  while (cursorEvents < target) {
     const double start = nowNs();
     streaming::StreamCursor cursor(paths);
     cursor.finish();
-    while (cursor.next() != nullptr) ++baseEvents;
-    const double elapsed = nowNs() - start;
-    cursorEventsPerSec = static_cast<double>(baseEvents) * 1e9 / elapsed;
-    std::printf("cursor: %.2f M events/s (%llu events decoded + merged)\n",
-                cursorEventsPerSec / 1e6,
-                static_cast<unsigned long long>(baseEvents));
+    uint64_t n = 0;
+    while (cursor.next() != nullptr) ++n;
+    cursorNs += nowNs() - start;
+    baseEvents = n;
+    cursorEvents += n;
+    if (n == 0) break;
   }
+  const double cursorEventsPerSec =
+      cursorNs > 0 ? static_cast<double>(cursorEvents) * 1e9 / cursorNs : 0;
+  constexpr double kCursorTarget = 20e6;  // ROADMAP item 3
+  std::printf(
+      "cursor: %.2f M events/s (%llu events decoded + merged per pass; "
+      "target %.0f M on one thread: %s)\n",
+      cursorEventsPerSec / 1e6, static_cast<unsigned long long>(baseEvents),
+      kCursorTarget / 1e6, cursorEventsPerSec >= kCursorTarget ? "met" : "not met");
+
+  // The live tap over the same records, in both arrival orders.
+  std::vector<std::vector<BufferRecord>> records(paths.size());
+  for (size_t p = 0; p < paths.size(); ++p) {
+    TraceFileReader reader(paths[p]);
+    for (uint64_t k = 0; k < reader.bufferCount(); ++k) {
+      BufferRecord r;
+      if (reader.readBuffer(k, r)) records[p].push_back(std::move(r));
+    }
+  }
+  std::vector<const BufferRecord*> interleaved;
+  for (size_t k = 0;; ++k) {
+    const size_t before = interleaved.size();
+    for (const auto& lane : records) {
+      if (k < lane.size()) interleaved.push_back(&lane[k]);
+    }
+    if (interleaved.size() == before) break;
+  }
+  std::vector<const BufferRecord*> backlog;
+  for (const auto& lane : records) {
+    for (const BufferRecord& r : lane) backlog.push_back(&r);
+  }
+  const size_t tapPasses =
+      baseEvents == 0 ? 0 : static_cast<size_t>((target + baseEvents - 1) / baseEvents);
+  const double tapInterleaved = runTap(interleaved, 2, tapPasses);
+  const double tapBacklog = runTap(backlog, 2, tapPasses);
+  std::printf("tap: %.2f M events/s interleaved, %.2f M events/s "
+              "backlog-first (%zu records x %zu passes)\n",
+              tapInterleaved / 1e6, tapBacklog / 1e6, interleaved.size(),
+              tapPasses);
 
   // Materialize the merged stream once; engine passes replay it.
   std::vector<DecodedEvent> events;
@@ -174,7 +262,6 @@ int main(int argc, char** argv) {
       events.push_back(*e);
     }
   }
-  const uint64_t target = quick ? 200'000 : 2'000'000;
   const size_t replicas =
       events.empty() ? 0
                      : static_cast<size_t>((target + events.size() - 1) /
@@ -197,28 +284,40 @@ int main(int argc, char** argv) {
   table.addColumn("M events/s", util::Align::Right);
   table.addRow({"cursor (decode+merge)",
                 util::strprintf("%.2f", cursorEventsPerSec / 1e6)});
+  table.addRow({"tap, interleaved", util::strprintf("%.2f", tapInterleaved / 1e6)});
+  table.addRow({"tap, backlog-first", util::strprintf("%.2f", tapBacklog / 1e6)});
   for (const EngineRun& run : runs) {
     table.addRow({util::strprintf("engine + folds, %zu monitors", run.monitors),
                   util::strprintf("%.2f", run.eventsPerSec / 1e6)});
   }
   std::printf("\n%s", table.render().c_str());
 
-  std::ofstream json("BENCH_streaming.json");
-  json << util::strprintf(
+  const std::string json = util::strprintf(
       "{\n"
+      "  \"bench\": \"streaming\",\n"
+      "  \"host_threads\": %u,\n"
+      "  \"buffer_words\": %u,\n"
       "  \"base_events\": %llu,\n"
       "  \"replicas\": %zu,\n"
       "  \"window_ms\": 0.05,\n"
       "  \"snapshot_every_events\": 65536,\n"
       "  \"cursor_events_per_sec\": %.0f,\n"
+      "  \"cursor_target_events_per_sec\": %.0f,\n"
+      "  \"cursor_meets_target\": %s,\n"
+      "  \"tap_events_per_sec_interleaved\": %.0f,\n"
+      "  \"tap_events_per_sec_backlog_first\": %.0f,\n"
       "  \"engine_events_per_sec_monitors_0\": %.0f,\n"
       "  \"engine_events_per_sec_monitors_1\": %.0f,\n"
       "  \"engine_events_per_sec_monitors_8\": %.0f\n"
       "}\n",
+      util::ThreadPool::hardwareThreads(), fcfg.bufferWords,
       static_cast<unsigned long long>(baseEvents), replicas,
-      cursorEventsPerSec, runs[0].eventsPerSec, runs[1].eventsPerSec,
+      cursorEventsPerSec, kCursorTarget,
+      cursorEventsPerSec >= kCursorTarget ? "true" : "false", tapInterleaved,
+      tapBacklog, runs[0].eventsPerSec, runs[1].eventsPerSec,
       runs[2].eventsPerSec);
-  std::printf("wrote BENCH_streaming.json\n");
+  std::fputs(json.c_str(), stdout);
+  if (!out.empty()) std::ofstream(out) << json;
 
   std::filesystem::remove_all(dir);
   return 0;
