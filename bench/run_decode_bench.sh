@@ -6,7 +6,9 @@
 # config matrix, and output to a scratch file instead of the repo-root
 # BENCH_decode.json (a smoke run must not overwrite the recorded numbers).
 # KTRACE_BENCH_FLOOR_MBPS (default 100 quick / 400 full) sets a minimum
-# best-config throughput; the script fails below it.
+# best-config throughput; the script fails below it. It also fails when
+# compressed decode (1 thread, mmap) delivers under half the raw event
+# rate: a ratio of two figures from one run, so it holds on any host.
 set -eu
 
 repo="$(cd "$(dirname "$0")/.." && pwd)"
@@ -46,6 +48,26 @@ if awk "BEGIN { exit !($best < $floor) }"; then
   echo "run_decode_bench: FAIL — $best MB/s below floor of $floor MB/s" >&2
   exit 1
 fi
-echo "run_decode_bench: best $best MB/s (floor $floor)"
+# Ratio floor: the two 1-thread mmap rows' events_per_s.
+rate() {
+  awk -v kind="\"compressed\": $1," '
+    index($0, kind) && /"threads": 1, "mmap": true/ {
+      sub(/.*"events_per_s": /, ""); sub(/,.*/, ""); print
+    }' "$out"
+}
+raw_rate="$(rate false)"
+z_rate="$(rate true)"
+if [ -z "$raw_rate" ] || [ -z "$z_rate" ]; then
+  echo "run_decode_bench: no 1-thread mmap events_per_s in $out" >&2
+  exit 1
+fi
+ratio="$(awk "BEGIN { printf \"%.3f\", $z_rate / $raw_rate }")"
+if awk "BEGIN { exit !($ratio < 0.5) }"; then
+  echo "run_decode_bench: FAIL — compressed decode at ${ratio}x the raw" \
+       "event rate (1 thread, mmap), below the 0.5x floor" >&2
+  exit 1
+fi
+echo "run_decode_bench: best $best MB/s (floor $floor)," \
+     "compressed/raw events ${ratio}x (floor 0.5x)"
 [ "$quick" = 1 ] && rm -f "$out"
 exit 0

@@ -1,14 +1,16 @@
 #!/bin/sh
 # The whole verification gauntlet in one command:
 #   1. tier-1 build (-Werror) + full ctest suite (plain toolchain)
-#   2. ASan+UBSan build + full ctest suite
+#   2. ASan+UBSan build + full ctest suite (UBSan without recovery, so
+#      undefined behaviour aborts the test instead of only printing)
 #   3. TSan build + `concurrent`-labelled tests (ci/run_tsan.sh)
 #   4. monitor smoke: heartbeat trace -> ktracetool monitor --json
 #   5. crash smoke: fork/SIGKILL recovery harness across 20 seeds
 #   6. daemon smoke: ktraced fleet — seeded kills, corruption, quarantine,
 #      SIGTERM mid-drain + restart, exactly-once verified end to end
 #   7. decode-bench smoke: bench/run_decode_bench.sh --quick (small
-#      workload, throughput floor, bit-identical configs)
+#      workload, throughput floor, compressed-to-raw decode ratio floor,
+#      bit-identical configs)
 #   8. streaming smoke: live ktraced dashboard vs offline replay — every
 #      completed live window line reproduced byte-identically
 #   9. replay smoke: record an SDET run, replay it bit-identically, and
@@ -32,9 +34,10 @@ cmake -B "$prefix" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$prefix" -j "$(nproc)"
 (cd "$prefix" && ctest --output-on-failure)
 
-echo "==> [2/11] ASan+UBSan build + ctest"
+echo "==> [2/11] ASan+UBSan build + ctest (a UBSan report fails its test)"
 cmake -B "$prefix-asan" -S "$repo" -DKTRACE_SANITIZE=address,undefined \
-      -DCMAKE_BUILD_TYPE=RelWithDebInfo
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+      -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
 cmake --build "$prefix-asan" -j "$(nproc)"
 (cd "$prefix-asan" && ctest --output-on-failure)
 

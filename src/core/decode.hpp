@@ -9,6 +9,7 @@
 // decode forward.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <span>
@@ -27,43 +28,46 @@ namespace ktrace {
 /// payload lives inline in the event with no allocation; only the rare
 /// long event (monitor heartbeats, app blobs) spills to the heap. This is
 /// what lets the batched decoder emit events at memcpy speed instead of
-/// one vector allocation each.
+/// one vector allocation each. The inline capacity is sized to the
+/// longest common event: a lock-contention start with its three-frame
+/// call chain carries 6 payload words. The spill pointer overlays the
+/// inline words, so the size alone says which one is live.
 class EventPayload {
  public:
-  static constexpr uint32_t kInlineWords = 4;
+  static constexpr uint32_t kInlineWords = 6;
 
   /// Tag for the branch-free inline-copy constructor below.
   struct PaddedTag {};
 
-  EventPayload() noexcept = default;
-  EventPayload(const uint64_t* words, uint32_t n) { assign(words, n); }
+  /// Starts the spill pointer null: data() may load it even while the
+  /// payload is inline, and it must not read an uninitialized union then.
+  EventPayload() noexcept { words_.heap_ = nullptr; }
+  EventPayload(const uint64_t* words, uint32_t n) : EventPayload() { assign(words, n); }
   /// Hot-path constructor: copies kInlineWords words unconditionally and
   /// keeps n of them (n <= kInlineWords; the caller must guarantee
   /// kInlineWords words are readable at `words`). Unlike assign, nothing
   /// is zeroed first — one store pass per event in the decode loop.
   EventPayload(PaddedTag, const uint64_t* words, uint32_t n) noexcept
       : size_(n) {
-    std::memcpy(inline_, words, kInlineWords * sizeof(uint64_t));
+    std::memcpy(words_.inline_, words, sizeof(words_.inline_));
   }
-  ~EventPayload() { delete[] heap_; }
+  ~EventPayload() { release(); }
 
-  EventPayload(const EventPayload& o) { assign(o.data(), o.size_); }
+  EventPayload(const EventPayload& o) : EventPayload() { assign(o.data(), o.size_); }
   EventPayload& operator=(const EventPayload& o) {
     if (this != &o) assign(o.data(), o.size_);
     return *this;
   }
-  EventPayload(EventPayload&& o) noexcept : heap_(o.heap_), size_(o.size_) {
-    std::memcpy(inline_, o.inline_, sizeof(inline_));
-    o.heap_ = nullptr;
+  /// A move takes the inline words or the spill pointer and leaves `o`
+  /// empty.
+  EventPayload(EventPayload&& o) noexcept : words_(o.words_), size_(o.size_) {
     o.size_ = 0;
   }
   EventPayload& operator=(EventPayload&& o) noexcept {
     if (this != &o) {
-      delete[] heap_;
-      heap_ = o.heap_;
+      release();
+      words_ = o.words_;
       size_ = o.size_;
-      std::memcpy(inline_, o.inline_, sizeof(inline_));
-      o.heap_ = nullptr;
       o.size_ = 0;
     }
     return *this;
@@ -73,57 +77,58 @@ class EventPayload {
     if (n > kInlineWords) {
       uint64_t* spill = new uint64_t[n];
       std::memcpy(spill, words, n * sizeof(uint64_t));
-      delete[] heap_;
-      heap_ = spill;
+      release();
+      words_.heap_ = spill;
     } else {
-      delete[] heap_;
-      heap_ = nullptr;
-      std::memcpy(inline_, words, n * sizeof(uint64_t));
+      release();
+      std::copy_n(words, n, words_.inline_);  // unlike memcpy, null-safe at n == 0
     }
-    size_ = n;
-  }
-
-  /// Hot-path variant: copies kInlineWords words unconditionally (branch
-  /// free) and keeps n of them. The caller must guarantee kInlineWords
-  /// words are readable at `words`.
-  void assignInlinePadded(const uint64_t* words, uint32_t n) noexcept {
-    delete[] heap_;
-    heap_ = nullptr;
-    std::memcpy(inline_, words, kInlineWords * sizeof(uint64_t));
     size_ = n;
   }
 
   uint32_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-  const uint64_t* data() const noexcept { return heap_ != nullptr ? heap_ : inline_; }
+  const uint64_t* data() const noexcept {
+    return spilled() ? words_.heap_ : words_.inline_;
+  }
   const uint64_t* begin() const noexcept { return data(); }
   const uint64_t* end() const noexcept { return data() + size_; }
   uint64_t operator[](size_t i) const noexcept { return data()[i]; }
 
   bool operator==(const EventPayload& o) const noexcept {
-    return size_ == o.size_ &&
-           std::memcmp(data(), o.data(), size_ * sizeof(uint64_t)) == 0;
+    return std::equal(begin(), end(), o.begin(), o.end());
   }
-  /// Lets payloads compare against vectors/arrays of words directly.
+  /// Lets payloads compare against vectors/arrays of words directly (an
+  /// empty one may have a null data pointer).
   bool operator==(std::span<const uint64_t> o) const noexcept {
-    return size_ == o.size() &&
-           std::memcmp(data(), o.data(), size_ * sizeof(uint64_t)) == 0;
+    return std::equal(begin(), end(), o.begin(), o.end());
   }
 
  private:
-  uint64_t* heap_ = nullptr;  // nullptr: payload lives in inline_
-  uint32_t size_ = 0;         // payload words
-  uint64_t inline_[kInlineWords];
+  bool spilled() const noexcept { return size_ > kInlineWords; }
+  void release() noexcept {
+    if (spilled()) delete[] words_.heap_;
+    size_ = 0;
+  }
+
+  union Words {
+    uint64_t* heap_;                 // live when size_ > kInlineWords
+    uint64_t inline_[kInlineWords];  // live otherwise
+  };
+  Words words_;        // a move copies whichever member is live
+  uint32_t size_ = 0;  // payload words
 };
 
 /// An event copied out of a trace buffer.
 struct DecodedEvent {
   EventHeader header;
-  EventPayload data;            // header.lengthWords - 1 payload words
+  uint32_t processor = 0;
+  // No unique address: offsetInBuffer sits in the payload's tail padding,
+  // which keeps the event at 88 bytes.
+  [[no_unique_address]] EventPayload data;  // header.lengthWords - 1 payload words
+  uint32_t offsetInBuffer = 0;  // word offset of the header in its buffer
   uint64_t fullTimestamp = 0;   // 32-bit timestamp unwrapped via anchors
   uint64_t bufferSeq = 0;       // which buffer lap the event came from
-  uint32_t offsetInBuffer = 0;  // word offset of the header in its buffer
-  uint32_t processor = 0;
 
   DecodedEvent() = default;
   /// Decode-loop constructor: initializes every field directly so
@@ -133,8 +138,8 @@ struct DecodedEvent {
                const uint64_t* payloadWords, uint32_t payloadCount,
                uint64_t ts, uint64_t seq, uint32_t offset,
                uint32_t proc) noexcept
-      : header(h), data(tag, payloadWords, payloadCount), fullTimestamp(ts),
-        bufferSeq(seq), offsetInBuffer(offset), processor(proc) {}
+      : header(h), processor(proc), data(tag, payloadWords, payloadCount),
+        offsetInBuffer(offset), fullTimestamp(ts), bufferSeq(seq) {}
 
   /// View of the payload for Registry::formatEvent.
   Event asEvent() const noexcept {
@@ -146,6 +151,8 @@ struct DecodedEvent {
     return e;
   }
 };
+static_assert(sizeof(DecodedEvent) <= 88,
+              "decoded events are stored by the million; keep them small");
 
 struct DecodeStats {
   uint64_t events = 0;        // non-filler events decoded (anchors included)

@@ -945,7 +945,8 @@ bool TraceFileReader::blockStartsWithAnchor(size_t b) {
       src = blockScratch_.data();
     }
     // Decompress just past the first record's header + first payload word;
-    // the output buffer must still hold a whole sequence's overshoot, so
+    // the decompressor may write anywhere up to its capacity (a sequence
+    // overshoots the stop point, a wild copy runs past the sequence), so
     // give it the full raw size.
     std::vector<uint64_t> head(blk.rawBytes / sizeof(uint64_t));
     const ptrdiff_t n =

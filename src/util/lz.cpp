@@ -9,6 +9,13 @@ namespace {
 constexpr size_t kMinMatch = 4;
 constexpr size_t kMaxOffset = 65535;
 constexpr int kHashBits = 13;
+// Decoder fast paths: a short literal run (< 15 bytes) is copied as one
+// fixed kWildLiteral-byte block, a match in kMatchChunk-byte chunks. Both
+// write past the sequence's end into output that the following sequences
+// overwrite (or that lies past the returned length), so each is taken
+// only when that much input and output room remains.
+constexpr size_t kWildLiteral = 16;
+constexpr size_t kMatchChunk = 8;
 
 inline uint32_t hash4(const unsigned char* p) noexcept {
   uint32_t v;
@@ -26,6 +33,37 @@ inline bool emitLength(unsigned char*& out, const unsigned char* outEnd,
   if (out >= outEnd) return false;
   *out++ = static_cast<unsigned char>(len);
   return true;
+}
+
+/// Copies an m-byte match starting `offset` bytes back, kMatchChunk bytes
+/// at a time; writes up to kMatchChunk - 1 bytes past out + m. Offsets
+/// below kMatchChunk are first expanded (LZ4's increment / decrement
+/// tables) so that the source then trails the destination by a multiple
+/// of the period of at least kMatchChunk bytes, and every chunk copy reads
+/// only bytes already written.
+inline void wildCopyMatch(unsigned char* out, size_t offset, size_t m) noexcept {
+  static constexpr unsigned kInc[kMatchChunk] = {0, 1, 2, 1, 0, 4, 4, 4};
+  static constexpr int kDec[kMatchChunk] = {0, 0, 0, -1, -4, 1, 2, 3};
+  unsigned char* const end = out + m;
+  const unsigned char* from = out - offset;
+  if (offset < kMatchChunk) {
+    out[0] = from[0];
+    out[1] = from[1];
+    out[2] = from[2];
+    out[3] = from[3];
+    from += kInc[offset];
+    std::memcpy(out + 4, from, 4);
+    from -= kDec[offset];
+  } else {
+    std::memcpy(out, from, kMatchChunk);
+    from += kMatchChunk;
+  }
+  out += kMatchChunk;
+  while (out < end) {
+    std::memcpy(out, from, kMatchChunk);
+    out += kMatchChunk;
+    from += kMatchChunk;
+  }
 }
 
 }  // namespace
@@ -61,7 +99,9 @@ size_t lzCompress(const void* srcv, size_t srcLen, void* dstv, size_t dstCap) {
     *token = static_cast<unsigned char>((litNibble << 4) | matchNibble);
     if (litLen >= 15 && !emitLength(out, outEnd, litLen - 15)) return false;
     if (out + litLen > outEnd) return false;
-    std::memcpy(out, anchor, litLen);
+    // An empty input may come with a null `src`, and memcpy needs valid
+    // pointers even for zero bytes.
+    if (litLen != 0) std::memcpy(out, anchor, litLen);
     out += litLen;
     if (matchLen == 0) return true;  // final literal run
     if (out + 2 > outEnd) return false;
@@ -107,42 +147,53 @@ ptrdiff_t lzDecompress(const void* srcv, size_t srcLen, void* dstv,
   auto* dst = static_cast<unsigned char*>(dstv);
   unsigned char* out = dst;
   unsigned char* const outEnd = dst + dstCap;
+  auto inLeft = [&] { return static_cast<size_t>(inEnd - in); };
+  auto outLeft = [&] { return static_cast<size_t>(outEnd - out); };
 
-  auto readLength = [&](size_t base) -> ptrdiff_t {
-    size_t len = base;
-    if (base == 15) {
-      unsigned char b;
-      do {
-        if (in >= inEnd) return -1;
-        b = *in++;
-        len += b;
-        if (len > dstCap + srcLen) return -1;  // length bomb, cannot be valid
-      } while (b == 255);
-    }
-    return static_cast<ptrdiff_t>(len);
+  // Adds a nibble's extension bytes to `len`; false on a truncated stream
+  // or a length no valid stream can carry.
+  auto extendLength = [&](size_t& len) -> bool {
+    if (len != 15) return true;
+    unsigned char b;
+    do {
+      if (in >= inEnd) return false;
+      b = *in++;
+      len += b;
+      if (len > dstCap + srcLen) return false;  // length bomb
+    } while (b == 255);
+    return true;
   };
 
   while (in < inEnd) {
     const unsigned char token = *in++;
-    const ptrdiff_t litLen = readLength(token >> 4);
-    if (litLen < 0) return -1;
-    if (in + litLen > inEnd || out + litLen > outEnd) return -1;
-    std::memcpy(out, in, static_cast<size_t>(litLen));
+    size_t litLen = token >> 4;
+    if (litLen < 15 && inLeft() >= kWildLiteral && outLeft() >= kWildLiteral) {
+      // Short literal run with room on both sides: one fixed-size copy.
+      std::memcpy(out, in, kWildLiteral);
+    } else {
+      if (!extendLength(litLen)) return -1;
+      if (litLen > inLeft() || litLen > outLeft()) return -1;
+      if (litLen != 0) std::memcpy(out, in, litLen);  // `dst` may be null if empty
+    }
     in += litLen;
     out += litLen;
     if (in == inEnd) break;  // final sequence: literals only
-    if (in + 2 > inEnd) return -1;
+    if (inLeft() < 2) return -1;
     const size_t offset = static_cast<size_t>(in[0]) | (static_cast<size_t>(in[1]) << 8);
     in += 2;
     if (offset == 0 || offset > static_cast<size_t>(out - dst)) return -1;
-    const ptrdiff_t matchLen = readLength(token & 0x0F);
-    if (matchLen < 0) return -1;
-    const size_t m = static_cast<size_t>(matchLen) + kMinMatch;
-    if (out + m > outEnd) return -1;
-    const unsigned char* from = out - offset;
-    // Byte copy: matches may overlap their own output (offset < length
-    // replicates a run), which memcpy must not be trusted with.
-    for (size_t i = 0; i < m; ++i) out[i] = from[i];
+    size_t m = token & 0x0F;
+    if (!extendLength(m)) return -1;
+    m += kMinMatch;
+    if (m > outLeft()) return -1;
+    if (outLeft() - m >= kMatchChunk) {
+      wildCopyMatch(out, offset, m);
+    } else {
+      // Exact tail copy. Byte by byte: matches may overlap their own
+      // output (offset < length replicates a run).
+      const unsigned char* from = out - offset;
+      for (size_t i = 0; i < m; ++i) out[i] = from[i];
+    }
     out += m;
     if (stopAfter != 0 && static_cast<size_t>(out - dst) >= stopAfter) break;
   }

@@ -13,7 +13,10 @@
 //
 // The decompressor trusts nothing: every read and write is bounds
 // checked, and malformed input yields -1, never UB — salvage feeds it
-// bytes that failed their CRC.
+// bytes that failed their CRC. Away from the ends of its buffers it copies
+// in fixed-size chunks that may run past the current sequence (LZ4's
+// "wild copy"); the last few bytes of input and output take an exact
+// byte-wise path, and both paths produce the same bytes.
 #pragma once
 
 #include <cstddef>
@@ -35,6 +38,9 @@ size_t lzCompress(const void* src, size_t srcLen, void* dst, size_t dstCap);
 /// Decompresses `srcLen` bytes into `dst` (capacity `dstCap`). Returns
 /// the number of bytes produced, or -1 on malformed input (truncated
 /// stream, offset outside the produced window, output overflow).
+/// Bytes of `dst` between the returned length and `dstCap` may be
+/// overwritten (all of it on -1): size `dst` for the whole output even
+/// when only a prefix is wanted.
 ///
 /// `stopAfter`, when nonzero, allows an early return once at least that
 /// many bytes have been produced — the footer-planning path peeks at a

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 namespace ktrace {
 namespace {
 
@@ -160,6 +164,136 @@ TEST(Decode, EventStraddlingLimitIsExcluded) {
   uint64_t tsBase = 0;
   decodeBuffer(buf, 0, 0, tsBase, events, {}, /*limitWords=*/5);  // event ends at 7
   EXPECT_TRUE(events.empty());
+}
+
+TEST(Decode, PayloadsOfEverySizeDecodeIntact) {
+  // Payloads from empty to past the inline capacity, the last one ending
+  // exactly at the buffer end (where the padded copy must not be used).
+  auto buf = makeBuffer(64);
+  putAnchor(buf, 0, 100, 0);
+  uint32_t at = 3;
+  std::vector<std::vector<uint64_t>> sent;
+  for (uint32_t n = 0; n <= EventPayload::kInlineWords + 2; ++n) {
+    std::vector<uint64_t> words;
+    for (uint32_t i = 0; i < n; ++i) words.push_back(0x1000u * n + i);
+    buf[at] = EventHeader::encode(100 + n, 1 + n, Major::Test, static_cast<uint16_t>(n));
+    std::copy(words.begin(), words.end(), buf.begin() + at + 1);
+    at += 1 + n;
+    sent.push_back(std::move(words));
+  }
+  std::vector<uint64_t> last(64 - at - 1, 0xEE);
+  buf[at] = EventHeader::encode(200, 64 - at, Major::Test, 99);
+  std::copy(last.begin(), last.end(), buf.begin() + at + 1);
+  sent.push_back(last);
+
+  std::vector<DecodedEvent> events;
+  uint64_t tsBase = 0;
+  decodeBuffer(buf, 0, 0, tsBase, events);
+  ASSERT_EQ(events.size(), sent.size());
+  for (size_t i = 0; i < sent.size(); ++i) {
+    EXPECT_TRUE(events[i].data == std::span<const uint64_t>(sent[i])) << i;
+    EXPECT_EQ(events[i].data.size(), events[i].header.lengthWords - 1) << i;
+  }
+  EXPECT_EQ(events.back().offsetInBuffer, at);
+}
+
+// --- EventPayload: inline and spilled representations -------------------
+
+std::vector<uint64_t> payloadWords(uint32_t n, uint64_t tag) {
+  std::vector<uint64_t> words(n);
+  for (uint32_t i = 0; i < n; ++i) words[i] = tag * 0x10000u + i;
+  return words;
+}
+
+bool holds(const EventPayload& p, const std::vector<uint64_t>& words) {
+  return p.size() == words.size() && p == std::span<const uint64_t>(words) &&
+         std::equal(p.begin(), p.end(), words.begin(), words.end());
+}
+
+// Sizes on both sides of the inline capacity, up to the largest payload an
+// event header can describe.
+constexpr uint32_t kPayloadSizes[] = {0, 5, 6, 7, EventHeader::kMaxWords - 1};
+
+TEST(EventPayload, CopiesAcrossInlineAndSpilled) {
+  for (const uint32_t from : kPayloadSizes) {
+    for (const uint32_t to : kPayloadSizes) {
+      const auto a = payloadWords(from, 1);
+      const auto b = payloadWords(to, 2);
+      const EventPayload src(a.data(), from);
+
+      const EventPayload copied(src);
+      EXPECT_TRUE(holds(copied, a)) << from;
+      EXPECT_TRUE(holds(src, a)) << from;
+
+      EventPayload assigned(b.data(), to);
+      assigned = src;
+      EXPECT_TRUE(holds(assigned, a)) << from << " over " << to;
+      EXPECT_TRUE(holds(src, a)) << from << " over " << to;
+
+      assigned.assign(b.data(), to);  // and back the other way
+      EXPECT_TRUE(holds(assigned, b)) << to << " over " << from;
+    }
+  }
+}
+
+TEST(EventPayload, MovesAcrossInlineAndSpilledAndEmptiesTheSource) {
+  for (const uint32_t from : kPayloadSizes) {
+    for (const uint32_t to : kPayloadSizes) {
+      const auto a = payloadWords(from, 3);
+      const auto b = payloadWords(to, 4);
+
+      EventPayload src(a.data(), from);
+      EventPayload moved(std::move(src));
+      EXPECT_TRUE(holds(moved, a)) << from;
+      EXPECT_EQ(src.size(), 0u);
+      EXPECT_TRUE(src.empty());
+      EXPECT_EQ(src.begin(), src.end());
+
+      EventPayload target(b.data(), to);
+      target = std::move(moved);
+      EXPECT_TRUE(holds(target, a)) << from << " over " << to;
+      EXPECT_TRUE(moved.empty());
+
+      // A moved-from payload is reusable in either representation.
+      src.assign(b.data(), to);
+      EXPECT_TRUE(holds(src, b)) << to;
+      moved = std::move(src);
+      EXPECT_TRUE(holds(moved, b)) << to;
+    }
+  }
+}
+
+TEST(EventPayload, SelfAssignmentKeepsTheWords) {
+  for (const uint32_t n : kPayloadSizes) {
+    const auto a = payloadWords(n, 5);
+    EventPayload p(a.data(), n);
+    EventPayload& alias = p;
+    p = alias;
+    EXPECT_TRUE(holds(p, a)) << n;
+    p = std::move(alias);
+    EXPECT_TRUE(holds(p, a)) << n;
+  }
+}
+
+TEST(EventPayload, EqualityIgnoresRepresentation) {
+  // The padded constructor copies kInlineWords words but keeps n; the
+  // words past n must not take part in comparisons.
+  std::vector<uint64_t> padded = payloadWords(EventPayload::kInlineWords, 6);
+  const EventPayload viaPadded(EventPayload::PaddedTag{}, padded.data(), 3);
+  const EventPayload viaAssign(padded.data(), 3);
+  EXPECT_TRUE(viaPadded == viaAssign);
+  EXPECT_TRUE(viaPadded == std::span<const uint64_t>(padded.data(), 3));
+  EXPECT_FALSE(viaPadded == std::span<const uint64_t>(padded));
+
+  // A spilled payload compares by its heap words; reassigned short, it is
+  // inline again and equal to one that never spilled.
+  const auto longWords = payloadWords(EventPayload::kInlineWords + 1, 7);
+  EventPayload reused(longWords.data(), EventPayload::kInlineWords + 1);
+  EXPECT_TRUE(reused == std::span<const uint64_t>(longWords));
+  EXPECT_FALSE(reused == viaAssign);
+  reused.assign(padded.data(), 3);
+  EXPECT_TRUE(reused == viaAssign);
+  EXPECT_TRUE(EventPayload() == EventPayload(nullptr, 0));
 }
 
 TEST(Decode, HeaderValidationRules) {

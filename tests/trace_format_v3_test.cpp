@@ -147,6 +147,206 @@ TEST(LzCodec, DecompressorSurvivesGarbage) {
   }
 }
 
+// --- LZ decoder against a byte-at-a-time oracle ------------------------
+
+/// The plain decoder: every byte read, written and checked one at a time.
+/// The library decoder's wild copies must give the same return value and
+/// the same bytes up to it, whatever the input.
+ptrdiff_t referenceLzDecompress(const uint8_t* in, size_t srcLen, uint8_t* dst,
+                                size_t dstCap, size_t stopAfter) {
+  size_t ip = 0, op = 0;
+  auto length = [&](size_t nibble, size_t& len) {
+    len = nibble;
+    if (nibble != 15) return true;
+    uint8_t b = 255;
+    while (b == 255) {
+      if (ip >= srcLen) return false;
+      b = in[ip++];
+      len += b;
+      if (len > dstCap + srcLen) return false;
+    }
+    return true;
+  };
+  while (ip < srcLen) {
+    const uint8_t token = in[ip++];
+    size_t lit = 0;
+    if (!length(token >> 4, lit)) return -1;
+    for (size_t i = 0; i < lit; ++i) {
+      if (ip >= srcLen || op >= dstCap) return -1;
+      dst[op++] = in[ip++];
+    }
+    if (ip == srcLen) break;
+    if (srcLen - ip < 2) return -1;
+    const size_t offset = in[ip] | (size_t{in[ip + 1]} << 8);
+    ip += 2;
+    if (offset == 0 || offset > op) return -1;
+    size_t match = 0;
+    if (!length(token & 0x0F, match)) return -1;
+    match += 4;
+    for (size_t i = 0; i < match; ++i) {
+      if (op >= dstCap) return -1;
+      dst[op] = dst[op - offset];
+      ++op;
+    }
+    if (stopAfter != 0 && op >= stopAfter) break;
+  }
+  return static_cast<ptrdiff_t>(op);
+}
+
+/// Hand-built token streams, so a test can name each sequence's literal
+/// length, match length and offset.
+struct LzStream {
+  std::vector<uint8_t> bytes;
+  size_t produced = 0;  // output length once decoded
+
+  void length(size_t extra) {
+    for (; extra >= 255; extra -= 255) bytes.push_back(255);
+    bytes.push_back(static_cast<uint8_t>(extra));
+  }
+  /// A token and its literals; the caller appends any match part.
+  void literalRun(size_t literals, size_t matchNibble, uint8_t fill) {
+    bytes.push_back(
+        static_cast<uint8_t>((std::min<size_t>(literals, 15) << 4) | matchNibble));
+    if (literals >= 15) length(literals - 15);
+    for (size_t i = 0; i < literals; ++i) {
+      bytes.push_back(static_cast<uint8_t>(fill + i * 7));
+    }
+    produced += literals;
+  }
+  void sequence(size_t literals, size_t match, size_t offset, uint8_t fill) {
+    const size_t m = match - 4;
+    literalRun(literals, std::min<size_t>(m, 15), fill);
+    bytes.push_back(static_cast<uint8_t>(offset & 0xFF));
+    bytes.push_back(static_cast<uint8_t>(offset >> 8));
+    if (m >= 15) length(m - 15);
+    produced += match;
+  }
+  void finish(size_t literals, uint8_t fill) { literalRun(literals, 0, fill); }
+};
+
+/// Decodes `stream` with both decoders into buffers of exactly `dstCap`
+/// bytes (so the sanitizers see any write past the capacity) and requires
+/// the same outcome.
+void expectMatchesReference(const std::vector<uint8_t>& stream, size_t dstCap,
+                            size_t stopAfter, const std::string& what) {
+  std::vector<uint8_t> want(dstCap), got(dstCap);
+  const ptrdiff_t wantN = referenceLzDecompress(stream.data(), stream.size(),
+                                                want.data(), dstCap, stopAfter);
+  const ptrdiff_t gotN = util::lzDecompress(stream.data(), stream.size(),
+                                            got.data(), dstCap, stopAfter);
+  ASSERT_EQ(gotN, wantN) << what << " cap " << dstCap << " stop " << stopAfter;
+  if (wantN > 0) {
+    ASSERT_EQ(std::memcmp(got.data(), want.data(), static_cast<size_t>(wantN)), 0)
+        << what << " cap " << dstCap << " stop " << stopAfter;
+  }
+}
+
+// Literal and match lengths on both sides of the nibble's extension
+// thresholds (15 and 15 + 255).
+constexpr size_t kLzLengths[] = {0, 1, 7, 8, 9, 14, 15, 16, 17, 31,
+                                 269, 270, 271, 525, 526};
+
+TEST(LzCodec, WildCopyMatchesReferenceForEveryOffsetAndLength) {
+  for (size_t offset = 1; offset <= 20; ++offset) {
+    for (const size_t literals : kLzLengths) {
+      for (const size_t extra : kLzLengths) {
+        const size_t match = 4 + extra;
+        LzStream s;
+        s.sequence(20, 4, 20, 0x11);  // 24 bytes of history to reach back into
+        s.sequence(literals, match, offset, 0x40);
+        s.sequence(3, 5 + offset % 4, offset, 0x90);
+        s.finish(6, 0xC0);
+        const std::string what = "offset " + std::to_string(offset) +
+                                 " lit " + std::to_string(literals) +
+                                 " match " + std::to_string(match);
+        expectMatchesReference(s.bytes, s.produced, 0, what);
+        expectMatchesReference(s.bytes, s.produced + 40, 0, what);
+      }
+    }
+  }
+}
+
+TEST(LzCodec, WildCopyMatchesReferenceNearTheEndOfTheOutput) {
+  // Every capacity from short of the output to well past it: sequences
+  // ending within 16 bytes of dstCap take the exact path, and a capacity
+  // one byte short must still fail cleanly.
+  for (size_t offset = 1; offset <= 20; ++offset) {
+    for (const size_t tail : {size_t{0}, size_t{1}, size_t{5}, size_t{14},
+                              size_t{15}, size_t{16}, size_t{17}, size_t{40}}) {
+      LzStream s;
+      s.sequence(20, 4, 20, 0x21);
+      for (int k = 0; k < 6; ++k) {
+        s.sequence(static_cast<size_t>(k * 3), 4 + static_cast<size_t>(k * 5),
+                   offset, static_cast<uint8_t>(0x30 + k));
+      }
+      s.finish(tail, 0x77);
+      const std::string what =
+          "offset " + std::to_string(offset) + " tail " + std::to_string(tail);
+      for (size_t cap = s.produced > 40 ? s.produced - 40 : 0;
+           cap <= s.produced + 20; ++cap) {
+        expectMatchesReference(s.bytes, cap, 0, what);
+      }
+    }
+  }
+}
+
+TEST(LzCodec, WildCopyMatchesReferenceWithStopAfter) {
+  LzStream s;
+  s.sequence(16, 4, 16, 0x01);
+  for (size_t k = 0; k < 40; ++k) {
+    s.sequence(k % 17, 4 + (k * 7) % 23, 1 + k % 20, static_cast<uint8_t>(k));
+  }
+  s.finish(9, 0x55);
+  for (size_t stop = 1; stop <= s.produced + 2; stop += 3) {
+    expectMatchesReference(s.bytes, s.produced, stop, "stop");
+    expectMatchesReference(s.bytes, s.produced + 16, stop, "stop, slack");
+  }
+  // And over the compressor's own output, the footer-planning peek's case.
+  std::vector<uint8_t> src(8192);
+  for (size_t i = 0; i < src.size(); ++i) {
+    src[i] = static_cast<uint8_t>((i / 24) ^ (i % 24 < 6 ? i : 0));
+  }
+  std::vector<uint8_t> comp(util::lzCompressBound(src.size()));
+  comp.resize(util::lzCompress(src.data(), src.size(), comp.data(), comp.size()));
+  ASSERT_FALSE(comp.empty());
+  for (const size_t stop : {size_t{1}, size_t{40}, size_t{4096}, src.size()}) {
+    expectMatchesReference(comp, src.size(), stop, "compressed");
+  }
+}
+
+TEST(LzCodec, WildCopyMatchesReferenceOnRandomAndDamagedStreams) {
+  Rng rng(0xD1CE5EEDull);
+  // Random well-formed streams, decoded whole and into short buffers.
+  for (int iter = 0; iter < 300; ++iter) {
+    LzStream s;
+    s.sequence(1 + rng.next() % 20, 4, 1, 0x10);
+    const int sequences = 1 + static_cast<int>(rng.next() % 24);
+    for (int k = 0; k < sequences; ++k) {
+      const size_t literals = kLzLengths[rng.next() % std::size(kLzLengths)];
+      const size_t match = 4 + kLzLengths[rng.next() % std::size(kLzLengths)];
+      const size_t offset = 1 + rng.next() % std::min<size_t>(s.produced + literals, 40);
+      s.sequence(literals, match, offset, static_cast<uint8_t>(rng.next()));
+    }
+    s.finish(rng.next() % 30, static_cast<uint8_t>(rng.next()));
+    expectMatchesReference(s.bytes, s.produced, 0, "random");
+    expectMatchesReference(s.bytes, s.produced - rng.next() % (s.produced + 1), 0,
+                           "random, short");
+    // Then damaged: one byte replaced, or the stream cut short.
+    std::vector<uint8_t> bad = s.bytes;
+    bad[rng.next() % bad.size()] = static_cast<uint8_t>(rng.next());
+    expectMatchesReference(bad, s.produced + 32, 0, "flipped");
+    bad = s.bytes;
+    bad.resize(rng.next() % bad.size());
+    expectMatchesReference(bad, s.produced, 0, "truncated");
+  }
+  // Pure noise.
+  for (int iter = 0; iter < 2000; ++iter) {
+    std::vector<uint8_t> junk(1 + rng.next() % 300);
+    for (auto& b : junk) b = static_cast<uint8_t>(rng.next());
+    expectMatchesReference(junk, rng.next() % 2048, 0, "noise");
+  }
+}
+
 // --- Cross-version decode identity -------------------------------------
 
 class TraceFormatV3Test : public ::testing::Test {
