@@ -21,6 +21,9 @@
 #      sources, prints every metric, and passes its gates (and each gate
 #      fires on damaged input) — a src/ change that breaks the benchmark's
 #      API fails here, not at the next benchmark run
+#  12. daemon tap check: bench/run_daemon_bench.sh --quick — one tenant
+#      drained with ktraced's shipped live tap and without; fails when the
+#      tap-on drain rate is below the bench's floor ratio to tap-off
 # Usage: ci/run_all.sh [build-dir-prefix]
 # Build trees land at <prefix>, <prefix>-asan, <prefix>-tsan
 # (default: build, build-asan, build-tsan at the repo root).
@@ -29,43 +32,46 @@ set -eu
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 prefix="${1:-$repo/build}"
 
-echo "==> [1/11] tier-1: plain build + ctest (warnings are errors)"
+echo "==> [1/12] tier-1: plain build + ctest (warnings are errors)"
 cmake -B "$prefix" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$prefix" -j "$(nproc)"
 (cd "$prefix" && ctest --output-on-failure)
 
-echo "==> [2/11] ASan+UBSan build + ctest (a UBSan report fails its test)"
+echo "==> [2/12] ASan+UBSan build + ctest (a UBSan report fails its test)"
 cmake -B "$prefix-asan" -S "$repo" -DKTRACE_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
 cmake --build "$prefix-asan" -j "$(nproc)"
 (cd "$prefix-asan" && ctest --output-on-failure)
 
-echo "==> [3/11] TSan: concurrent-labelled tests"
+echo "==> [3/12] TSan: concurrent-labelled tests"
 "$repo/ci/run_tsan.sh" "$prefix-tsan"
 
-echo "==> [4/11] monitor smoke"
+echo "==> [4/12] monitor smoke"
 "$repo/ci/run_monitor_smoke.sh" "$prefix"
 
-echo "==> [5/11] crash-recovery smoke (20 seeds)"
+echo "==> [5/12] crash-recovery smoke (20 seeds)"
 "$repo/ci/run_crash_smoke.sh" "$prefix" 20
 
-echo "==> [6/11] daemon smoke (ktraced fleet, kills + restart)"
+echo "==> [6/12] daemon smoke (ktraced fleet, kills + restart)"
 "$repo/ci/run_daemon_smoke.sh" "$prefix"
 
-echo "==> [7/11] decode-bench smoke (--quick, throughput floor)"
+echo "==> [7/12] decode-bench smoke (--quick, throughput floor)"
 "$repo/bench/run_decode_bench.sh" "$prefix" --quick
 
-echo "==> [8/11] streaming smoke (live vs offline window parity)"
+echo "==> [8/12] streaming smoke (live vs offline window parity)"
 "$repo/ci/run_streaming_smoke.sh" "$prefix"
 
-echo "==> [9/11] replay smoke (record -> bit-identical replay -> what-if)"
+echo "==> [9/12] replay smoke (record -> bit-identical replay -> what-if)"
 "$repo/ci/run_replay_smoke.sh" "$prefix"
 
-echo "==> [10/11] storage smoke (rotation, ENOSPC emergency, reclaim)"
+echo "==> [10/12] storage smoke (rotation, ENOSPC emergency, reclaim)"
 "$repo/ci/run_storage_smoke.sh" "$prefix"
 
-echo "==> [11/11] pipebench smoke (benchmark build, metrics, gates)"
+echo "==> [11/12] pipebench smoke (benchmark build, metrics, gates)"
 (cd "$repo" && python3 pipebench/run.py --smoke)
 
-echo "run_all: all eleven stages passed"
+echo "==> [12/12] daemon tap check (--quick, tap-on/tap-off drain floor)"
+"$repo/bench/run_daemon_bench.sh" "$prefix" --quick
+
+echo "run_all: all twelve stages passed"

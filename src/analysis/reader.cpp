@@ -40,23 +40,67 @@ class EventVectorArena {
 
   void release(std::vector<DecodedEvent>&& v) {
     const size_t bytes = v.capacity() * sizeof(DecodedEvent);
-    if (bytes < kMinVectorBytes) return;
     v.clear();  // run element destructors now, not under the lock's owner
     std::lock_guard lock(mutex_);
-    if (pooledBytes_ + bytes > kMaxPooledBytes) return;  // drop: frees on return
+    if (bytes < kMinVectorBytes || pooledBytes_ + bytes > kMaxPooledBytes) {
+      noteFreed(bytes);  // dropped: the caller's vector frees it
+      return;
+    }
     pooledBytes_ += bytes;
     pool_.push_back(std::move(v));
   }
 
+  /// Gives `v` room for `capacity` events. Every reallocation of a
+  /// decode's vector comes through here — the decode loops make room for
+  /// a record's words before decoding it, so decodeBuffer never grows a
+  /// vector itself — and a new block of the pooled size class is sized
+  /// above every block the arena has let go of. glibc raises its mmap
+  /// threshold to each block of up to 32 MiB it unmaps; a later block no
+  /// larger than that — the next stream's vector, often within a percent
+  /// of the last one — would come from the calling thread's heap instead,
+  /// and once freed sit at that heap's top, which malloc_trim does not
+  /// return: a vector's worth of resident memory per decoding thread for
+  /// the life of the process. Above the threshold each block is mapped on
+  /// its own and goes back whole. The extra capacity is address space
+  /// only: pages past the events are never touched.
+  void reserve(std::vector<DecodedEvent>& v, size_t capacity) {
+    if (v.capacity() >= capacity) return;
+    size_t floor = 0;
+    {
+      std::lock_guard lock(mutex_);
+      if (capacity * sizeof(DecodedEvent) >= kMinVectorBytes && largestFreed_ != 0) {
+        floor = (largestFreed_ + kMapSlackBytes) / sizeof(DecodedEvent) + 1;
+      }
+      noteFreed(v.capacity() * sizeof(DecodedEvent));
+    }
+    v.reserve(std::max(capacity, floor));
+  }
+
+  /// Room for `more` events past `v`'s end, growing geometrically.
+  void reserveMore(std::vector<DecodedEvent>& v, size_t more) {
+    if (v.capacity() - v.size() < more) {
+      reserve(v, std::max(v.size() + more, 2 * v.capacity()));
+    }
+  }
+
  private:
+  void noteFreed(size_t bytes) {
+    if (bytes <= kMaxThresholdBytes) largestFreed_ = std::max(largestFreed_, bytes);
+  }
+
   // Only vectors big enough for faults to matter are worth keeping, and
   // the arena never holds more than a typical decode's working set.
   static constexpr size_t kMinVectorBytes = 1u << 20;
   static constexpr size_t kMaxPooledBytes = 256u << 20;
+  // glibc's mmap threshold rises no higher than this (64-bit), and a
+  // mapped block carries less than the slack over its request.
+  static constexpr size_t kMaxThresholdBytes = 32u << 20;
+  static constexpr size_t kMapSlackBytes = 64u << 10;
 
   std::mutex mutex_;
   std::vector<std::vector<DecodedEvent>> pool_;
   size_t pooledBytes_ = 0;
+  size_t largestFreed_ = 0;  // largest block let go of, up to kMaxThresholdBytes
 };
 
 }  // namespace
@@ -85,15 +129,17 @@ TraceSet TraceSet::fromRecords(const std::vector<BufferRecord>& records,
                      });
     uint64_t tsBase = 0;
     std::vector<DecodedEvent>& out = set.perProcessor_[processor];
-    out = EventVectorArena::instance().acquire();
+    EventVectorArena& arena = EventVectorArena::instance();
+    out = arena.acquire();
     for (size_t k = 0; k < recs.size(); ++k) {
       if (recs[k]->commitMismatch) ++set.stats_.commitMismatchBuffers;
+      arena.reserveMore(out, recs[k]->words.size());  // an event is >= 1 word
       set.stats_.merge(decodeBuffer(recs[k]->words, recs[k]->seq, processor,
                                     tsBase, out, options));
       if (k == 0 && recs.size() > 1) {
         // The first buffer's event density sizes the whole stream: one
         // reservation instead of log2(N) geometric reallocations.
-        out.reserve(out.size() * recs.size() + 16);
+        arena.reserve(out, out.size() * recs.size() + 16);
       }
     }
   }
@@ -204,7 +250,8 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
     const Unit& unit = units[u];
     FileState& fs = files[unit.file];
     UnitResult& r = results[u];
-    r.events = EventVectorArena::instance().acquire();
+    EventVectorArena& arena = EventVectorArena::instance();
+    r.events = arena.acquire();
     // A single-unit file reuses the planning reader (only this task
     // touches it); a split file gives each unit its own reader, since a
     // reader's scratch/caches are not shareable across threads.
@@ -229,18 +276,18 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
         if (options.salvage) break;
         // Strict mode must not silently drop the rest of the file: a record
         // inside bufferCount() only fails validation when it is damaged.
-        r.error = std::make_exception_ptr(std::runtime_error(util::strprintf(
-            "%s: record %llu failed validation (damaged or CRC mismatch)",
-            paths[unit.file].c_str(), static_cast<unsigned long long>(k))));
+        r.error = std::make_exception_ptr(
+            std::runtime_error(damagedRecordMessage(paths[unit.file], k)));
         return;
       }
       if (view.commitMismatch) ++r.stats.commitMismatchBuffers;
+      arena.reserveMore(r.events, view.words.size());  // an event is >= 1 word
       r.stats.merge(decodeBuffer(view.words, view.seq, fs.processor, tsBase,
                                  r.events, options));
       if (k == unit.begin && unit.end - unit.begin > 1) {
         // As in fromRecords: size the vector off the first buffer's
         // event density to kill reallocation churn.
-        r.events.reserve(r.events.size() * (unit.end - unit.begin) + 16);
+        arena.reserve(r.events, r.events.size() * (unit.end - unit.begin) + 16);
       }
     }
   };
@@ -294,6 +341,7 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
         } else {
           // Later units of this file — or a second file claiming the same
           // processor — append in order, as the serial decode did.
+          EventVectorArena::instance().reserveMore(slot, events.size());
           slot.insert(slot.end(), std::make_move_iterator(events.begin()),
                       std::make_move_iterator(events.end()));
         }

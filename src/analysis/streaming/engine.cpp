@@ -43,6 +43,13 @@ StreamEngine::StreamEngine(StreamEngineConfig config,
       keepHeartbeats_(config_.windowTicks != 0 && !monitors_.empty()) {}
 
 void StreamEngine::addFold(std::unique_ptr<Fold> fold) {
+  const FoldProperties props = fold->properties();
+  if (props.order == FoldOrder::Merged) {
+    mergedFolds_.push_back(fold.get());
+    mergedMajors_ |= props.majors;
+  } else {
+    perProcessorFolds_.push_back(fold.get());
+  }
   folds_.push_back(std::move(fold));
 }
 
@@ -146,14 +153,15 @@ size_t StreamEngine::heartbeatsRetained() const noexcept {
   return n;
 }
 
-void StreamEngine::observeSlice(std::span<const DecodedEvent> events) {
+template <class Refs>
+void StreamEngine::observeSlice(const Refs& events) {
   // One processor's events. `watermark` tracks what observe() would hold
   // before each event — the minimum last tick over every processor — so a
   // window created mid-slice is born complete, and older windows complete
   // before it can push them out, exactly as event by event. After the
   // slice's first event that watermark never falls, so completing windows
   // only there and at the end reaches the same state as after every event.
-  const uint32_t cpu = events.front().processor;
+  const uint32_t cpu = events[0].processor();
   Processor& proc = processorFor(cpu);
   uint64_t others = UINT64_MAX;
   for (const Processor& p : processors_) {
@@ -168,11 +176,14 @@ void StreamEngine::observeSlice(std::span<const DecodedEvent> events) {
   uint64_t windowStart = 1;  // [windowStart, windowEnd): empty until the
   uint64_t windowEnd = 0;    // first event picks its window
   uint64_t counted = 0;
-  for (const DecodedEvent& e : events) {
-    const uint64_t tick = e.fullTimestamp;
-    if (e.header.major == Major::Monitor && keepHeartbeats_) {
+  for (size_t i = 0; i < events.size(); ++i) {
+    const EventRef e = events[i];
+    const uint64_t tick = e.fullTimestamp();
+    if (e.major() == Major::Monitor && keepHeartbeats_) [[unlikely]] {
       Heartbeat hb;
-      if (parseHeartbeat(e, hb)) proc.heartbeats.push_back({tick, hb});
+      if (parseHeartbeat(e.major(), e.minor(), e.data(), hb)) {
+        proc.heartbeats.push_back({tick, hb});
+      }
     }
     if (width != 0) {
       if (tick < windowStart || tick >= windowEnd) {
@@ -195,25 +206,21 @@ void StreamEngine::observeSlice(std::span<const DecodedEvent> events) {
 }
 
 void StreamEngine::observe(const DecodedEvent& e) {
-  observeSlice(std::span<const DecodedEvent>(&e, 1));
-}
-
-void StreamEngine::observeRun(std::span<const DecodedEvent> run) {
-  while (!run.empty()) {
-    const uint32_t cpu = run.front().processor;
-    size_t n = 1;
-    while (n < run.size() && run[n].processor == cpu) ++n;
-    observeSlice(run.first(n));
-    run = run.subspan(n);
-  }
+  observeSlice(DecodedRefs{std::span<const DecodedEvent>(&e, 1)});
 }
 
 void StreamEngine::onOrdered(const DecodedEvent& e) {
   for (const auto& fold : folds_) fold->onEvent(e);
 }
 
-void StreamEngine::onOrdered(std::span<const DecodedEvent> events) {
-  for (const auto& fold : folds_) fold->onEvents(events);
+void StreamEngine::onRun(const IndexRun& run) {
+  if (run.empty()) return;
+  observeSlice(run);
+  for (Fold* fold : perProcessorFolds_) fold->onRun(run);
+}
+
+void StreamEngine::onMerged(std::span<const DecodedEvent> events) {
+  for (Fold* fold : mergedFolds_) fold->onEvents(events);
 }
 
 void StreamEngine::finish() {

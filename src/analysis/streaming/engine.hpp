@@ -14,21 +14,20 @@
 //                 never the arrival order — which is what makes a live
 //                 snapshot of a completed window byte-identical to an
 //                 offline replay of the same files.
-//   onOrdered(e)  the ORDERED plane: events in merged (timestamp,
-//                 processor) order — from a StreamCursor/OrderedMerger —
-//                 feeding the attached Folds (lock contention needs exact
-//                 merge order).
+//   onOrdered(e)  the fold plane, fed in merged (timestamp, processor)
+//                 order — from a StreamCursor/OrderedMerger or a
+//                 MergeCursor — which satisfies every fold.
 //
-// Both planes also take whole runs, which is how the live tap feeds them:
-// observeRun() a decoded buffer as it arrives (one processor, timestamps
-// never decreasing), onOrdered(span) each span the merger releases —
-// the longest prefix of one lane's front run that sorts before every
-// other lane's next possible event. Neither keeps a reference past the
-// call: a released span is valid only until the merger's next push or
-// call. The run entry counts a window's events by segment, sets the
-// processor's last tick and advances the watermark once per run, and
-// parses heartbeats only from Major::Monitor events; the engine ends up
-// exactly as the same events fed to observe() one by one would leave it.
+// The live tap feeds both planes a run at a time. It reads each harvested
+// buffer in place, as an IndexRun, and feeds it to onRun(): the window
+// plane and every fold whose declared order is PerProcessor (fold.hpp).
+// Only the events a Merged fold reads go through the tap's merger, and
+// each span it releases goes to those folds alone (onMerged). Nothing
+// keeps a reference past the call. onRun counts a window's events by
+// segment, sets the processor's last tick and advances the watermark once
+// per run, and parses heartbeats only from Major::Monitor events; the
+// engine ends up exactly as the same events fed to observe() one by one
+// would leave it.
 //
 // A window completes when the watermark — the minimum last-seen timestamp
 // across every processor that has produced events — passes its end; the
@@ -49,6 +48,7 @@
 #include <utility>
 #include <vector>
 
+#include "analysis/streaming/event_ref.hpp"
 #include "analysis/streaming/fold.hpp"
 #include "analysis/streaming/monitors.hpp"
 #include "core/monitor.hpp"
@@ -78,16 +78,20 @@ class StreamEngine {
   /// Order-insensitive plane: every decoded event, any arrival order.
   void observe(const DecodedEvent& event);
 
-  /// Order-insensitive plane, a run at a time: the same state as
-  /// observe() on each event in turn (a span that switches processor is
-  /// taken one same-processor stretch at a time).
-  void observeRun(std::span<const DecodedEvent> run);
-
-  /// Ordered plane: merged-order feed for the folds.
+  /// Fold plane: merged-order feed for every fold.
   void onOrdered(const DecodedEvent& event);
 
-  /// Ordered plane, a released span at a time (one call per fold).
-  void onOrdered(std::span<const DecodedEvent> events);
+  /// The live tap's entry for one harvested buffer read in place: the
+  /// window plane — the same state as observe() on each of its events in
+  /// turn — and every PerProcessor fold.
+  void onRun(const IndexRun& run);
+
+  /// The live tap's entry for a span of its merger: the Merged folds only
+  /// (the PerProcessor ones had these events from onRun).
+  void onMerged(std::span<const DecodedEvent> events);
+
+  /// The majors the Merged folds read: all that the live tap merges.
+  uint64_t mergedMajors() const noexcept { return mergedMajors_; }
 
   /// End of stream: every window with data completes (there is no more
   /// data to wait for) and the folds finalize.
@@ -135,7 +139,9 @@ class StreamEngine {
   };
 
   Processor& processorFor(uint32_t id);
-  void observeSlice(std::span<const DecodedEvent> events);
+  /// One processor's events, as EventRefs (DecodedRefs or an IndexRun).
+  template <class Refs>
+  void observeSlice(const Refs& events);
   Window* windowFor(uint64_t index, uint64_t watermark);
   void countInto(Window* w, uint32_t processor, uint64_t events);
   void completeWindows(uint64_t watermark);
@@ -145,6 +151,9 @@ class StreamEngine {
   StreamEngineConfig config_;
   std::vector<DerivedMonitor> monitors_;
   std::vector<std::unique_ptr<Fold>> folds_;
+  std::vector<Fold*> mergedFolds_;        // declared order Merged
+  std::vector<Fold*> perProcessorFolds_;  // declared order PerProcessor
+  uint64_t mergedMajors_ = 0;
 
   std::map<uint64_t, Window> windows_;
   Window* hotWindow_ = nullptr;  // last window counted into; map nodes are

@@ -2,25 +2,57 @@
 //
 // The paper's claim is *unified* monitoring: one event stream serving both
 // post-hoc analysis and live observation. A Fold is the seam that makes
-// that literal — an incremental analysis consuming events one at a time in
-// merged (timestamp, processor) order, never caring whether the stream
-// ends. The post-hoc tools become "run the fold to EOF over a closed
-// trace"; the live path runs the very same fold over a tenant's pipeline
-// while it is still logging. Results are identical by construction.
+// that literal — an incremental analysis consuming events one at a time,
+// never caring whether the stream ends. The post-hoc tools become "run the
+// fold to EOF over a closed trace"; the live path runs the very same fold
+// over a tenant's pipeline while it is still logging. Results are
+// identical by construction.
 //
-// The live tap hands events over in spans (a released prefix of one
-// decoded buffer, DESIGN.md §13), so the batch entry onEvents() is what
-// the engine calls: one virtual dispatch per span, not per event. Folds
-// override foldSpan() with a loop over their own onEvent, which a final
-// class calls directly; the default forwards event by event.
+// Each fold declares what it reads (FoldProperties): the major classes it
+// looks at and the order it needs. A merged (timestamp, processor) feed
+// of every event satisfies every fold, which is what offline replay
+// gives. The live tap gives each fold only what it declares: a
+// PerProcessor fold gets each harvested buffer whole, read in place
+// (onRun), and a Merged fold gets only its majors, in merged order, span
+// by released span (onEvents). Either way a fold reads events as
+// EventRefs through one implementation.
 #pragma once
 
+#include <cstdint>
 #include <span>
 #include <string>
 
+#include "analysis/streaming/event_ref.hpp"
 #include "core/decode.hpp"
 
 namespace ktrace::analysis::streaming {
+
+/// The order a fold needs its events in.
+enum class FoldOrder : uint8_t {
+  /// Global (fullTimestamp, processor) order — the order MergeCursor
+  /// yields for a closed trace.
+  Merged,
+  /// Each processor's events in the order they were logged; processors
+  /// may interleave in any way (a merged feed is one such way).
+  PerProcessor,
+};
+
+constexpr uint64_t majorBit(Major m) noexcept {
+  return uint64_t{1} << static_cast<uint32_t>(m);
+}
+
+/// Whether the major-class mask `majors` has `m`.
+constexpr bool hasMajor(uint64_t majors, Major m) noexcept {
+  return (majors & majorBit(m)) != 0;
+}
+
+/// What a fold reads: events of the major classes in `majors` — it
+/// ignores every other event, so leaving those out of its feed changes
+/// nothing — in `order`.
+struct FoldProperties {
+  uint64_t majors = ~uint64_t{0};  // bit m set: reads Major m
+  FoldOrder order = FoldOrder::Merged;
+};
 
 class Fold {
  public:
@@ -29,13 +61,19 @@ class Fold {
   /// Stable identifier ("locks", "rates", "profile", "completeness").
   virtual const char* name() const noexcept = 0;
 
-  /// One event in merged (fullTimestamp, processor) order — the exact
-  /// order MergeCursor yields for a closed trace.
+  virtual FoldProperties properties() const noexcept = 0;
+
+  /// One event, in an order the fold's properties allow.
   virtual void onEvent(const DecodedEvent& event) = 0;
 
   /// Consecutive events of that same order, as onEvent would see them one
   /// by one.
   void onEvents(std::span<const DecodedEvent> events) { foldSpan(events); }
+
+  /// One harvested buffer read in place: one processor's events in logged
+  /// order, as onEvent would see them one by one. Only a PerProcessor
+  /// fold may be fed this way.
+  void onRun(const IndexRun& run) { foldRun(run); }
 
   /// End of stream: the replay reached EOF or the live session drained.
   /// Folds finalize end-of-stream accounting here (e.g. unmatched
@@ -48,9 +86,24 @@ class Fold {
   virtual std::string summaryJson() const = 0;
 
  protected:
-  virtual void foldSpan(std::span<const DecodedEvent> events) {
-    for (const DecodedEvent& e : events) onEvent(e);
-  }
+  virtual void foldSpan(std::span<const DecodedEvent> events) = 0;
+  virtual void foldRun(const IndexRun& run) = 0;
+};
+
+/// Base of the shipped folds: `Derived::fold(const EventRef&)` is the
+/// fold's one implementation, and every entry point calls it directly —
+/// one virtual dispatch per span or run, not per event — for the events
+/// of the majors the fold reads, skipping the rest on their major alone.
+/// The members are defined, and instantiated for each shipped fold, in
+/// folds.cpp, next to the folds they inline.
+template <class Derived>
+class FoldOf : public Fold {
+ public:
+  void onEvent(const DecodedEvent& e) final;
+
+ protected:
+  void foldSpan(std::span<const DecodedEvent> events) final;
+  void foldRun(const IndexRun& run) final;
 };
 
 }  // namespace ktrace::analysis::streaming

@@ -25,23 +25,15 @@ uint32_t typeKey(Major major, uint16_t minor) noexcept {
 // Fillers and anchors are written by the reservation machinery itself, not
 // through a logger entry point, so they are excluded from both sides of
 // the heartbeat identity (see analysis/completeness.cpp).
-bool isInfrastructure(const DecodedEvent& e) noexcept {
-  return e.header.major == Major::Control &&
-         (e.header.minor == static_cast<uint16_t>(ControlMinor::Filler) ||
-          e.header.minor == static_cast<uint16_t>(ControlMinor::BufferAnchor));
+bool isInfrastructure(const EventRef& e) noexcept {
+  return e.major() == Major::Control &&
+         (e.minor() == static_cast<uint16_t>(ControlMinor::Filler) ||
+          e.minor() == static_cast<uint16_t>(ControlMinor::BufferAnchor));
 }
 
 }  // namespace
 
 // --- LockContentionFold ------------------------------------------------
-
-size_t LockContentionFold::PairHash::operator()(
-    const PairKey& k) const noexcept {
-  uint64_t h = k.first * 0x9e3779b97f4a7c15ull + k.second;
-  h ^= h >> 29;
-  h *= 0xbf58476d1ce4e5b9ull;
-  return static_cast<size_t>(h ^ (h >> 32));
-}
 
 size_t LockContentionFold::rowFor(PairState& s, uint64_t lockId,
                                   uint64_t pid) {
@@ -58,43 +50,46 @@ size_t LockContentionFold::rowFor(PairState& s, uint64_t lockId,
   return rows_.size() - 1;
 }
 
-void LockContentionFold::onEvent(const DecodedEvent& e) {
-  if (e.header.major != Major::Lock) return;
-  const auto minor = static_cast<ossim::LockMinor>(e.header.minor);
-  if (e.data.size() < 2) return;
-  const uint64_t lockId = e.data[0];
-  const uint64_t pid = e.data[1];
+void LockContentionFold::fold(const EventRef& e) {
+  if (e.major() != Major::Lock) return;
+  const auto minor = static_cast<ossim::LockMinor>(e.minor());
+  const std::span<const uint64_t> data = e.data();
+  if (data.size() < 2) return;
+  const uint64_t lockId = data[0];
+  const uint64_t pid = data[1];
 
   switch (minor) {
     case ossim::LockMinor::ContendStart: {
-      PairState& s = pairs_[{lockId, pid}];
+      const uint32_t slot = pairIndex_.insert(lockId, pid);
+      if (slot == pairs_.size()) pairs_.emplace_back();
+      PairState& s = pairs_[slot];
       if (s.contending) {
         ++unmatchedContends_;
       } else {
         s.contending = true;
         ++openContends_;
       }
-      s.contendTs = e.fullTimestamp;
+      s.contendTs = e.fullTimestamp();
       s.chain.clear();
-      if (e.data.size() >= 3) {
+      if (data.size() >= 3) {
         const uint64_t chainLen =
-            std::min<uint64_t>(e.data[2], e.data.size() - 3);
-        s.chain.assign(e.data.begin() + 3,
-                       e.data.begin() + 3 + static_cast<ptrdiff_t>(chainLen));
+            std::min<uint64_t>(data[2], data.size() - 3);
+        s.chain.assign(data.begin() + 3,
+                       data.begin() + 3 + static_cast<ptrdiff_t>(chainLen));
       }
       break;
     }
     case ossim::LockMinor::Acquired: {
       // A pair that has never contended has no row for its hold time to
       // go into, so it needs no record at all.
-      const auto it = pairs_.find({lockId, pid});
-      if (it == pairs_.end()) break;
-      PairState& s = it->second;
+      const uint32_t slot = pairIndex_.find(lockId, pid);
+      if (slot == util::PairIndex::kAbsent) break;
+      PairState& s = pairs_[slot];
       if (s.contending) {
         const size_t index = rowFor(s, lockId, pid);
         LockStats& row = rows_[index];
-        const uint64_t spins = e.data.size() > 2 ? e.data[2] : 0;
-        const uint64_t wait = e.fullTimestamp - s.contendTs;
+        const uint64_t spins = data.size() > 2 ? data[2] : 0;
+        const uint64_t wait = e.fullTimestamp() - s.contendTs;
         row.totalWaitTicks += wait;
         row.maxWaitTicks = std::max(row.maxWaitTicks, wait);
         row.contendedCount += 1;
@@ -109,18 +104,18 @@ void LockContentionFold::onEvent(const DecodedEvent& e) {
         --openContends_;
       }
       s.holding = true;
-      s.acquireTs = e.fullTimestamp;
+      s.acquireTs = e.fullTimestamp();
       break;
     }
     case ossim::LockMinor::Release: {
-      const auto it = pairs_.find({lockId, pid});
-      if (it != pairs_.end() && it->second.holding) {
+      const uint32_t slot = pairIndex_.find(lockId, pid);
+      if (slot != util::PairIndex::kAbsent && pairs_[slot].holding) {
         // The release event carries no chain, so fold hold time into the
         // (lock, pid) row with the most contention (display-only detail).
-        PairState& s = it->second;
+        PairState& s = pairs_[slot];
         if (s.bestRow != SIZE_MAX) {
           LockStats& best = rows_[s.bestRow];
-          best.totalHoldTicks += e.fullTimestamp - s.acquireTs;
+          best.totalHoldTicks += e.fullTimestamp() - s.acquireTs;
           best.releaseCount += 1;
         }
         s.holding = false;
@@ -135,7 +130,7 @@ void LockContentionFold::onEvent(const DecodedEvent& e) {
 void LockContentionFold::finish() {
   unmatchedContends_ += openContends_;
   openContends_ = 0;
-  for (auto& [key, s] : pairs_) s.contending = false;
+  for (PairState& s : pairs_) s.contending = false;
 }
 
 std::string LockContentionFold::summaryJson() const {
@@ -155,50 +150,75 @@ std::string LockContentionFold::summaryJson() const {
 
 // --- EventRateFold -----------------------------------------------------
 
-EventTypeStats& EventRateFold::statsFor(Major major, uint16_t minor) {
-  const auto m = static_cast<uint32_t>(major);
+uint32_t EventRateFold::findType(Major major, uint16_t minor) {
   uint32_t* slot;
   if (minor < kDirectMinors) {
-    if (m >= direct_.size()) direct_.resize(m + 1);
-    std::vector<uint32_t>& row = direct_[m];
-    if (minor >= row.size()) row.resize(minor + 1, 0);
-    slot = &row[minor];
+    if (direct_.empty()) direct_.assign(kMaxMajors * kDirectMinors, 0);
+    slot = &direct_[static_cast<uint32_t>(major) * kDirectMinors + minor];
   } else {
     slot = &wide_[typeKey(major, minor)];
   }
   if (*slot == 0) {
-    types_.emplace_back();
+    types_.emplace_back().key = typeKey(major, minor);
+    perProcessor_.resize(types_.size() * stride_, 0);
     *slot = static_cast<uint32_t>(types_.size());
   }
-  return types_[*slot - 1];
+  return *slot - 1;
 }
 
-void EventRateFold::onEvent(const DecodedEvent& e) {
-  if (numProcessors_ <= e.processor) numProcessors_ = e.processor + 1;
-  EventTypeStats& s = statsFor(e.header.major, e.header.minor);
-  if (s.count == 0) {
-    s.major = e.header.major;
-    s.minor = e.header.minor;
-    s.firstTick = e.fullTimestamp;
-    s.perProcessor.assign(numProcessors_, 0);
+void EventRateFold::growProcessors(uint32_t count) {
+  numProcessors_ = count;
+  if (count <= stride_) return;
+  const uint32_t stride = std::max(count, 2 * stride_);
+  std::vector<uint64_t> wider(types_.size() * stride, 0);
+  for (size_t t = 0; t < types_.size(); ++t) {
+    std::copy_n(perProcessor_.begin() + static_cast<ptrdiff_t>(t * stride_),
+                stride_, wider.begin() + static_cast<ptrdiff_t>(t * stride));
   }
-  if (s.perProcessor.size() < numProcessors_) s.perProcessor.resize(numProcessors_, 0);
-  s.count += 1;
-  s.totalWords += e.header.lengthWords;
-  s.firstTick = std::min(s.firstTick, e.fullTimestamp);
-  s.lastTick = std::max(s.lastTick, e.fullTimestamp);
-  s.perProcessor[e.processor] += 1;
+  perProcessor_.swap(wider);
+  stride_ = stride;
+}
+
+inline void EventRateFold::fold(const EventRef& e) {
+  const uint32_t p = e.processor();
+  if (numProcessors_ <= p) [[unlikely]] growProcessors(p + 1);
+  const Major major = e.major();
+  const uint16_t minor = e.minor();
+  const uint32_t direct =
+      minor < kDirectMinors && !direct_.empty()
+          ? direct_[static_cast<uint32_t>(major) * kDirectMinors + minor]
+          : 0;
+  const uint32_t t = direct != 0 ? direct - 1 : findType(major, minor);
+  TypeCounts& c = types_[t];
+  const uint64_t tick = e.fullTimestamp();
+  const uint32_t words = e.lengthWords();
+  c.count += 1;
+  c.words += words;
+  c.firstTick = std::min(c.firstTick, tick);
+  c.lastTick = std::max(c.lastTick, tick);
+  c.processors = numProcessors_;
+  perProcessor_[static_cast<size_t>(t) * stride_ + p] += 1;
   totalEvents_ += 1;
-  totalWords_ += e.header.lengthWords;
+  totalWords_ += words;
 }
 
 std::map<uint32_t, EventTypeStats> EventRateFold::takeStats() {
   std::map<uint32_t, EventTypeStats> out;
-  for (EventTypeStats& s : types_) {
-    const uint32_t key = typeKey(s.major, s.minor);
-    out.emplace(key, std::move(s));
+  for (size_t t = 0; t < types_.size(); ++t) {
+    const TypeCounts& c = types_[t];
+    EventTypeStats s;
+    s.major = static_cast<Major>(c.key >> 16);
+    s.minor = static_cast<uint16_t>(c.key);
+    s.count = c.count;
+    s.totalWords = c.words;
+    s.firstTick = c.firstTick;
+    s.lastTick = c.lastTick;
+    const auto row = perProcessor_.begin() + static_cast<ptrdiff_t>(t * stride_);
+    s.perProcessor.assign(row, row + c.processors);
+    out.emplace(c.key, std::move(s));
   }
   types_.clear();
+  perProcessor_.clear();
   direct_.clear();
   wide_.clear();
   return out;
@@ -213,35 +233,43 @@ std::string EventRateFold::summaryJson() const {
 
 // --- ProfileFold -------------------------------------------------------
 
-void ProfileFold::onEvent(const DecodedEvent& e) {
-  if (e.header.major != Major::Prof ||
-      e.header.minor != static_cast<uint16_t>(ossim::ProfMinor::PcSample) ||
-      e.data.size() < 2) {
+void ProfileFold::fold(const EventRef& e) {
+  const std::span<const uint64_t> data = e.data();
+  if (e.major() != Major::Prof ||
+      e.minor() != static_cast<uint16_t>(ossim::ProfMinor::PcSample) ||
+      data.size() < 2) {
     return;
   }
-  samples_[e.data[0]][e.data[1]] += 1;
+  const uint64_t pid = data[0];
+  const uint64_t function = data[1];
+  const uint32_t slot = index_.insert(pid, function);
+  if (slot == samples_.size()) {
+    samples_.push_back({pid, function, 0});
+    pids_.insert(pid, 0);
+  }
+  samples_[slot].count += 1;
   ++totalSamples_;
 }
 
 std::map<uint64_t, std::map<uint64_t, uint64_t>> ProfileFold::takeSamples() {
   std::map<uint64_t, std::map<uint64_t, uint64_t>> out;
-  for (const auto& [pid, funcs] : samples_) {
-    out[pid].insert(funcs.begin(), funcs.end());
-  }
+  for (const Samples& s : samples_) out[s.pid][s.function] = s.count;
+  index_.clear();
   samples_.clear();
+  pids_.clear();
   return out;
 }
 
 std::string ProfileFold::summaryJson() const {
   return util::strprintf("{\"name\":\"profile\",\"pids\":%zu,\"samples\":%llu}",
-                         samples_.size(),
+                         pids_.size(),
                          static_cast<unsigned long long>(totalSamples_));
 }
 
 // --- CompletenessFold --------------------------------------------------
 
-void CompletenessFold::closeInterval(ProcState& s, const DecodedEvent& e,
-                                     const Heartbeat& hb) {
+void CompletenessFold::closeInterval(ProcState& s, uint64_t bufferSeq,
+                                     uint64_t tick, const Heartbeat& hb) {
   // Interval identity: expected logger events vs. events actually decoded
   // in (previous heartbeat, this heartbeat] — see completeness.hpp.
   const uint64_t expected =
@@ -267,9 +295,9 @@ void CompletenessFold::closeInterval(ProcState& s, const DecodedEvent& e,
     CompletenessGap g;
     g.processor = s.processor;
     g.beforeSeq = s.hasBeat ? s.prevBeatBufferSeq : s.firstBufferSeq;
-    g.afterSeq = e.bufferSeq;
+    g.afterSeq = bufferSeq;
     g.startTick = s.hasBeat ? s.prevBeatTick : s.firstTick;
-    g.endTick = e.fullTimestamp;
+    g.endTick = tick;
     g.bounded = true;
     g.lostEvents = lost;
     s.pending.push_back(g);
@@ -280,15 +308,12 @@ void CompletenessFold::closeInterval(ProcState& s, const DecodedEvent& e,
   s.hasBeat = true;
   ++s.beatCount;
   s.prevBeatCumBefore = s.cum;
-  s.prevBeatTick = e.fullTimestamp;
-  s.prevBeatBufferSeq = e.bufferSeq;
+  s.prevBeatTick = tick;
+  s.prevBeatBufferSeq = bufferSeq;
   s.prevHb = hb;
 }
 
-CompletenessFold::ProcState& CompletenessFold::stateFor(uint32_t processor) {
-  if (hot_ < procs_.size() && procs_[hot_].processor == processor) {
-    return procs_[hot_];
-  }
+CompletenessFold::ProcState& CompletenessFold::findState(uint32_t processor) {
   auto it = std::lower_bound(
       procs_.begin(), procs_.end(), processor,
       [](const ProcState& s, uint32_t p) { return s.processor < p; });
@@ -300,50 +325,57 @@ CompletenessFold::ProcState& CompletenessFold::stateFor(uint32_t processor) {
   return *it;
 }
 
-void CompletenessFold::onEvent(const DecodedEvent& e) {
-  step(stateFor(e.processor), e);
-}
-
-void CompletenessFold::foldSpan(std::span<const DecodedEvent> events) {
-  ProcState* s = nullptr;
-  for (const DecodedEvent& e : events) {
-    if (s == nullptr || s->processor != e.processor) s = &stateFor(e.processor);
-    step(*s, e);
-  }
-}
-
-void CompletenessFold::step(ProcState& s, const DecodedEvent& e) {
+void CompletenessFold::noteSequence(ProcState& s, uint64_t bufferSeq,
+                                    uint64_t tick) {
   if (!s.sawFirst) {
     s.sawFirst = true;
-    s.firstBufferSeq = e.bufferSeq;
-    s.firstTick = e.fullTimestamp;
-    if (e.bufferSeq > 0) {
+    s.firstBufferSeq = bufferSeq;
+    s.firstTick = tick;
+    if (bufferSeq > 0) {
       // Buffers before the first observed one (flight-recorder lap).
       CompletenessGap g;
-      g.processor = e.processor;
+      g.processor = s.processor;
       g.kind = CompletenessGap::Kind::Head;
-      g.afterSeq = e.bufferSeq;
-      g.lostBuffers = e.bufferSeq;
-      g.endTick = e.fullTimestamp;
+      g.afterSeq = bufferSeq;
+      g.lostBuffers = bufferSeq;
+      g.endTick = tick;
       s.pending.push_back(g);
     }
-  } else if (e.bufferSeq > s.prevBufferSeq + 1) {
+  } else {
     CompletenessGap g;
-    g.processor = e.processor;
+    g.processor = s.processor;
     g.beforeSeq = s.prevBufferSeq;
-    g.afterSeq = e.bufferSeq;
-    g.lostBuffers = e.bufferSeq - s.prevBufferSeq - 1;
+    g.afterSeq = bufferSeq;
+    g.lostBuffers = bufferSeq - s.prevBufferSeq - 1;
     g.startTick = s.prevTick;
-    g.endTick = e.fullTimestamp;
+    g.endTick = tick;
     s.pending.push_back(g);
   }
-  s.prevBufferSeq = e.bufferSeq;
-  s.prevTick = e.fullTimestamp;
+}
+
+void CompletenessFold::noteHeartbeat(ProcState& s, uint16_t minor,
+                                     std::span<const uint64_t> payload,
+                                     uint64_t bufferSeq, uint64_t tick) {
+  Heartbeat hb;
+  if (parseHeartbeat(Major::Monitor, minor, payload, hb)) {
+    closeInterval(s, bufferSeq, tick, hb);
+  }
+}
+
+inline void CompletenessFold::fold(const EventRef& e) {
+  ProcState& s = !procs_.empty() && procs_[hot_].processor == e.processor()
+                     ? procs_[hot_]
+                     : findState(e.processor());
+  // The first event, or a jump in the buffer sequence (a lost buffer).
+  if (!s.sawFirst || e.bufferSeq() > s.prevBufferSeq + 1) [[unlikely]] {
+    noteSequence(s, e.bufferSeq(), e.fullTimestamp());
+  }
+  s.prevBufferSeq = e.bufferSeq();
+  s.prevTick = e.fullTimestamp();
 
   if (isInfrastructure(e)) return;
-  if (e.header.major == Major::Monitor) {
-    Heartbeat hb;
-    if (parseHeartbeat(e, hb)) closeInterval(s, e, hb);
+  if (e.major() == Major::Monitor) [[unlikely]] {
+    noteHeartbeat(s, e.minor(), e.data(), e.bufferSeq(), e.fullTimestamp());
   }
   ++s.cum;  // heartbeats are logger events too; counted after marking
 }
@@ -415,5 +447,36 @@ std::string CompletenessFold::summaryJson() const {
       static_cast<unsigned long long>(beats),
       static_cast<unsigned long long>(lost), gaps);
 }
+
+// --- FoldOf: the entry points, one loop each over Derived::fold -------
+
+template <class Derived>
+void FoldOf<Derived>::onEvent(const DecodedEvent& e) {
+  Derived& self = static_cast<Derived&>(*this);
+  if (hasMajor(self.properties().majors, e.header.major)) self.fold(EventRef::of(e));
+}
+
+template <class Derived>
+void FoldOf<Derived>::foldSpan(std::span<const DecodedEvent> events) {
+  Derived& self = static_cast<Derived&>(*this);
+  const uint64_t majors = self.properties().majors;
+  for (const DecodedEvent& e : events) {
+    if (hasMajor(majors, e.header.major)) self.fold(EventRef::of(e));
+  }
+}
+
+template <class Derived>
+void FoldOf<Derived>::foldRun(const IndexRun& run) {
+  Derived& self = static_cast<Derived&>(*this);
+  const uint64_t majors = self.properties().majors;
+  for (size_t i = 0; i < run.size(); ++i) {
+    if (hasMajor(majors, run.entries[i].major())) self.fold(run[i]);
+  }
+}
+
+template class FoldOf<LockContentionFold>;
+template class FoldOf<EventRateFold>;
+template class FoldOf<ProfileFold>;
+template class FoldOf<CompletenessFold>;
 
 }  // namespace ktrace::analysis::streaming

@@ -1,19 +1,21 @@
 // The four shipped analyses, ported onto the Fold interface (DESIGN.md
 // §13). Each fold is the single implementation of its analysis: the
 // post-hoc classes (LockAnalysis, EventStats, Profile, CompletenessReport)
-// construct one, replay a MergeCursor through it, and steal the results —
+// construct one, replay a closed trace through it, and steal the results —
 // so a fold run to EOF over a closed trace is bit-identical to the
 // pre-streaming tools, and the live path shares every line of logic.
 //
-// Ordering contracts:
-//   LockContentionFold   needs exact merged (timestamp, processor) order —
-//                        row creation order and start→acquire matching
-//                        depend on it.
-//   EventRateFold        order-insensitive (min/max/sum aggregation).
-//   ProfileFold          order-insensitive (pure histogram).
-//   CompletenessFold     needs per-processor relative order only (any
-//                        interleaving across processors is fine — exactly
-//                        what a merged feed preserves).
+// Declared properties (what each fold reads, and in what order):
+//   LockContentionFold   Lock only, Merged: row creation order and
+//                        start→acquire matching depend on the exact
+//                        (timestamp, processor) order.
+//   EventRateFold        every major, PerProcessor (it aggregates with
+//                        sums and min/max, so any order would do).
+//   ProfileFold          Prof only, PerProcessor (a pure histogram).
+//   CompletenessFold     every major, PerProcessor: it follows each
+//                        processor's buffer sequence and heartbeats in
+//                        logged order; how processors interleave does not
+//                        matter.
 #pragma once
 
 #include <cstdint>
@@ -28,14 +30,17 @@
 #include "analysis/lock_analysis.hpp"
 #include "analysis/streaming/fold.hpp"
 #include "core/monitor.hpp"
+#include "util/pair_index.hpp"
 
 namespace ktrace::analysis::streaming {
 
 /// Lock contention (the Figure 7 tool) as a fold.
-class LockContentionFold final : public Fold {
+class LockContentionFold final : public FoldOf<LockContentionFold> {
  public:
   const char* name() const noexcept override { return "locks"; }
-  void onEvent(const DecodedEvent& event) override;
+  FoldProperties properties() const noexcept override {
+    return {majorBit(Major::Lock), FoldOrder::Merged};
+  }
   void finish() override;
   std::string summaryJson() const override;
 
@@ -43,16 +48,10 @@ class LockContentionFold final : public Fold {
   uint64_t unmatchedContends() const noexcept { return unmatchedContends_; }
   std::vector<LockStats> takeRows() noexcept { return std::move(rows_); }
 
- protected:
-  void foldSpan(std::span<const DecodedEvent> events) override {
-    for (const DecodedEvent& e : events) onEvent(e);
-  }
-
  private:
-  using PairKey = std::pair<uint64_t, uint64_t>;  // (lock, pid)
-  struct PairHash {
-    size_t operator()(const PairKey& k) const noexcept;
-  };
+  friend class FoldOf<LockContentionFold>;
+  void fold(const EventRef& event);
+
   // Everything the fold tracks for one (lock, pid); created by the pair's
   // first contention.
   struct PairState {
@@ -70,23 +69,25 @@ class LockContentionFold final : public Fold {
 
   size_t rowFor(PairState& s, uint64_t lockId, uint64_t pid);
 
-  std::unordered_map<PairKey, PairState, PairHash> pairs_;
+  util::PairIndex pairIndex_;      // (lock, pid) -> index into pairs_
+  std::vector<PairState> pairs_;
   std::vector<LockStats> rows_;
   uint64_t unmatchedContends_ = 0;
   uint64_t openContends_ = 0;  // pairs with a contention still unmatched
 };
 
 /// Event-frequency statistics (paper §4.2) as a fold.
-class EventRateFold final : public Fold {
+class EventRateFold final : public FoldOf<EventRateFold> {
  public:
-  /// `numProcessors` sizes the per-type per-processor count vectors; 0
-  /// grows them on demand (live mode, where the processor count is known
-  /// but events name it anyway).
+  /// `numProcessors` sizes the per-type per-processor counts; 0 grows them
+  /// on demand (events name their processor anyway).
   explicit EventRateFold(uint32_t numProcessors = 0)
-      : numProcessors_(numProcessors) {}
+      : numProcessors_(numProcessors), stride_(numProcessors) {}
 
   const char* name() const noexcept override { return "rates"; }
-  void onEvent(const DecodedEvent& event) override;
+  FoldProperties properties() const noexcept override {
+    return {~uint64_t{0}, FoldOrder::PerProcessor};
+  }
   std::string summaryJson() const override;
 
   uint64_t totalEvents() const noexcept { return totalEvents_; }
@@ -96,48 +97,68 @@ class EventRateFold final : public Fold {
   /// empty.
   std::map<uint32_t, EventTypeStats> takeStats();
 
- protected:
-  void foldSpan(std::span<const DecodedEvent> events) override {
-    for (const DecodedEvent& e : events) onEvent(e);
-  }
-
  private:
+  friend class FoldOf<EventRateFold>;
+  void fold(const EventRef& event);
+
   // Types with a minor below this are found by direct index; the rest
   // (no shipped event has one) through a hash.
   static constexpr uint32_t kDirectMinors = 256;
 
-  EventTypeStats& statsFor(Major major, uint16_t minor);
+  // One event type's counters, in flat arrays indexed by type (first-seen
+  // order).
+  struct TypeCounts {
+    uint64_t count = 0;
+    uint64_t words = 0;
+    uint64_t firstTick = UINT64_MAX;
+    uint64_t lastTick = 0;
+    uint32_t key = 0;         // (major << 16) | minor
+    uint32_t processors = 0;  // numProcessors_ as of its latest event
+  };
 
-  std::vector<EventTypeStats> types_;  // first-seen order
-  // [major][minor] -> types_ index + 1 (0: not seen); each major's row
-  // grows to its largest minor seen.
-  std::vector<std::vector<uint32_t>> direct_;
-  std::unordered_map<uint32_t, uint32_t> wide_;  // type key -> index + 1
+  /// The type of (major, minor) when the direct index does not have it:
+  /// a wide minor, or a type not seen yet (added).
+  uint32_t findType(Major major, uint16_t minor);
+  void growProcessors(uint32_t count);
+
+  std::vector<TypeCounts> types_;
+  // [type * stride_ + processor] -> events
+  std::vector<uint64_t> perProcessor_;
+  // [major * kDirectMinors + minor] -> type + 1 (0: not seen)
+  std::vector<uint32_t> direct_;
+  std::unordered_map<uint32_t, uint32_t> wide_;  // type key -> type + 1
   uint64_t totalEvents_ = 0;
   uint64_t totalWords_ = 0;
   uint32_t numProcessors_ = 0;
+  uint32_t stride_ = 0;  // perProcessor_ row width, >= numProcessors_
 };
 
 /// Statistical execution profile (the Figure 6 tool) as a fold.
-class ProfileFold final : public Fold {
+class ProfileFold final : public FoldOf<ProfileFold> {
  public:
   const char* name() const noexcept override { return "profile"; }
-  void onEvent(const DecodedEvent& event) override;
+  FoldProperties properties() const noexcept override {
+    return {majorBit(Major::Prof), FoldOrder::PerProcessor};
+  }
   std::string summaryJson() const override;
 
   uint64_t totalSamples() const noexcept { return totalSamples_; }
   /// pid -> function -> samples; leaves the fold empty.
   std::map<uint64_t, std::map<uint64_t, uint64_t>> takeSamples();
 
- protected:
-  void foldSpan(std::span<const DecodedEvent> events) override {
-    for (const DecodedEvent& e : events) onEvent(e);
-  }
-
  private:
-  // pid -> function -> samples
-  std::unordered_map<uint64_t, std::unordered_map<uint64_t, uint64_t>>
-      samples_;
+  friend class FoldOf<ProfileFold>;
+  void fold(const EventRef& event);
+
+  struct Samples {
+    uint64_t pid = 0;
+    uint64_t function = 0;
+    uint64_t count = 0;
+  };
+
+  util::PairIndex index_;         // (pid, function) -> index into samples_
+  std::vector<Samples> samples_;  // first-seen order
+  util::PairIndex pids_;          // (pid, 0): the distinct pids
   uint64_t totalSamples_ = 0;
 };
 
@@ -148,10 +169,12 @@ class ProfileFold final : public Fold {
 /// the tail (gaps after the last heartbeat, clamp observed to the last
 /// heartbeat's window) — after it, gaps()/processors() match the post-hoc
 /// analysis field for field.
-class CompletenessFold final : public Fold {
+class CompletenessFold final : public FoldOf<CompletenessFold> {
  public:
   const char* name() const noexcept override { return "completeness"; }
-  void onEvent(const DecodedEvent& event) override;
+  FoldProperties properties() const noexcept override {
+    return {~uint64_t{0}, FoldOrder::PerProcessor};
+  }
   void finish() override;
   std::string summaryJson() const override;
 
@@ -167,10 +190,9 @@ class CompletenessFold final : public Fold {
     return std::move(processors_);
   }
 
- protected:
-  void foldSpan(std::span<const DecodedEvent> events) override;
-
  private:
+  friend class FoldOf<CompletenessFold>;
+
   struct ProcState {
     uint32_t processor = 0;
     bool sawFirst = false;
@@ -196,13 +218,21 @@ class CompletenessFold final : public Fold {
     bool tailUnverified = false;
   };
 
-  ProcState& stateFor(uint32_t processor);
-  void step(ProcState& s, const DecodedEvent& e);
-  void closeInterval(ProcState& s, const DecodedEvent& beatEvent,
+  void fold(const EventRef& event);
+  ProcState& findState(uint32_t processor);
+  // The rare arms of fold(), out of line: the first event or a lost
+  // buffer, and a heartbeat. They take the fields they use, not the
+  // EventRef, so the common path never builds one in memory.
+  void noteSequence(ProcState& s, uint64_t bufferSeq, uint64_t tick);
+  void noteHeartbeat(ProcState& s, uint16_t minor,
+                     std::span<const uint64_t> payload, uint64_t bufferSeq,
+                     uint64_t tick);
+  void closeInterval(ProcState& s, uint64_t bufferSeq, uint64_t tick,
                      const Heartbeat& hb);
 
   std::vector<ProcState> procs_;  // ascending processor
-  size_t hot_ = 0;                // index of the last one looked up
+  size_t hot_ = 0;                // index of the last one looked up (valid
+                                  // whenever procs_ is not empty)
   std::vector<CompletenessGap> gaps_;
   std::vector<ProcessorCompleteness> processors_;
   bool hasHeartbeats_ = false;

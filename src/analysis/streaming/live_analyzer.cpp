@@ -1,5 +1,7 @@
 #include "analysis/streaming/live_analyzer.hpp"
 
+#include <algorithm>
+
 #include "analysis/streaming/folds.hpp"
 
 namespace ktrace::analysis::streaming {
@@ -18,19 +20,43 @@ LiveAnalyzer::LiveAnalyzer(Sink& downstream, uint32_t numProcessors,
 void LiveAnalyzer::ingest(const BufferRecord& record) {
   const uint32_t p = record.processor;
   if (p >= tsBase_.size()) tsBase_.resize(p + 1, 0);
-  scratch_.clear();
-  decodeBuffer(record.words, record.seq, p, tsBase_[p], scratch_,
-               decodeOptions_);
-  if (scratch_.empty()) return;
-  engine_.observeRun(scratch_);
-  merger_.push(p, exactRun(scratch_));
+  index_.clear();
+  indexBuffer(record.words, tsBase_[p], index_);
+  if (index_.empty()) return;
+  engine_.onRun(IndexRun{record.words, index_, record.seq, p});
+
+  // Copy out only what the Merged folds read, into a run of exactly that
+  // size, so what the merger holds costs what it occupies. The selection
+  // is branch-free: lock events interleave with the rest too irregularly
+  // for a per-event branch to predict.
+  const uint64_t majors = engine_.mergedMajors();
+  selected_.resize(index_.size());
+  size_t merged = 0;
+  uint64_t last = 0;
+  for (size_t i = 0; i < index_.size(); ++i) {
+    const IndexEntry& x = index_[i];
+    selected_[merged] = static_cast<uint32_t>(i);
+    merged += hasMajor(majors, x.major());
+    last = std::max(last, x.fullTimestamp);
+  }
+  if (merged != 0) {
+    std::vector<DecodedEvent> events;
+    events.reserve(merged);
+    for (size_t k = 0; k < merged; ++k) {
+      const IndexEntry& x = index_[selected_[k]];
+      appendDecoded(events, record.words, EventHeader::decode(record.words[x.offset]),
+                    x.offset, x.fullTimestamp, record.seq, p);
+    }
+    merger_.push(p, std::move(events));
+  }
+  merger_.punctuate(p, p, last);
   drainOrdered();
 }
 
 void LiveAnalyzer::drainOrdered() {
   for (auto span = merger_.nextSpan(); !span.empty();
        span = merger_.nextSpan()) {
-    engine_.onOrdered(span);
+    engine_.onMerged(span);
   }
 }
 

@@ -1,14 +1,17 @@
 // Live analysis as a Sink decorator (DESIGN.md §13).
 //
 // Sits between a tenant's BatchingSink and its FileSink: every buffer
-// record that is about to become durable is decoded once into a run and
-// fed to a StreamEngine whole — the unordered plane directly
-// (observeRun), the ordered plane through an OrderedMerger, span by
-// released span — then handed to the real sink untouched. Placing the
-// tap *downstream* of the batching queue means quota sheds and queue
-// drops never reach the engine, so the live numbers describe exactly the
-// events that land in the files: an offline replay of those files
-// reproduces the snapshots bit for bit.
+// record that is about to become durable is read in place, then handed to
+// the real sink untouched. One header walk (indexBuffer) indexes the
+// record's events over its own words; that index run goes to the window
+// plane and to every PerProcessor fold whole, with no copy. Only the
+// events a Merged fold reads (the lock events) are copied out, into one
+// exact-size run for the OrderedMerger, whose lane the record then
+// punctuates at its last timestamp; each span the merger releases goes to
+// the Merged folds. Placing the tap *downstream* of the batching queue
+// means quota sheds and queue drops never reach the engine, so the live
+// numbers describe exactly the events that land in the files: an offline
+// replay of those files reproduces the snapshots bit for bit.
 //
 // The BatchingSink's single writer thread serializes onBuffer/
 // onBufferBatch, but snapshots arrive from the control plane thread, so
@@ -65,8 +68,8 @@ class LiveAnalyzer final : public Sink {
   StreamEngine engine_;
   OrderedMerger merger_;
   std::vector<uint64_t> tsBase_;
-  std::vector<DecodedEvent> scratch_;
-  DecodeOptions decodeOptions_{};
+  std::vector<IndexEntry> index_;    // the current record's index run
+  std::vector<uint32_t> selected_;   // its entries the merger takes
   bool finished_ = false;
 };
 

@@ -116,6 +116,15 @@ void OrderedMerger::push(uint32_t lane, DecodedEvent event) {
   push(lane, std::move(run));
 }
 
+void OrderedMerger::punctuate(uint32_t lane, uint32_t processor, uint64_t tick) {
+  settle();
+  if (lane >= lanes_.size()) lanes_.resize(lane + 1);
+  Lane& l = lanes_[lane];
+  l.seen = true;
+  l.processor = processor;
+  if (tick > l.lastTick) l.lastTick = tick;
+}
+
 std::span<const DecodedEvent> OrderedMerger::nextSpan() {
   settle();
   // One pass: the candidate is the lane whose front sorts first; the
@@ -261,7 +270,11 @@ size_t StreamCursor::poll() {
       if (identity != 0) cursor.identity = identity;
       for (uint64_t k = cursor.recordsDecoded; k < count; ++k) {
         BufferView view;
-        if (!reader->readBufferView(k, view)) break;
+        if (!reader->readBufferView(k, view)) {
+          // Inside the footer's record count only damage fails validation;
+          // stopping here would end the stream early and silently.
+          throw std::runtime_error(damagedRecordMessage(segmentPath, k));
+        }
         scratch_.clear();
         stats_.merge(decodeBuffer(view.words, view.seq, processor,
                                   cursor.tsBase, scratch_, options_.decode));

@@ -50,23 +50,33 @@ struct FileCursor {
 /// back out as spans in global (fullTimestamp, processor) order —
 /// MergeCursor's order.
 ///
-/// A run is one harvested buffer, decoded once into an exact-size vector:
-/// it comes from one processor and its timestamps never decrease, as a
+/// A run comes from one processor and its timestamps never decrease, as a
 /// lane's successive runs do not. The merger never moves an event after
 /// the push. nextSpan() picks the candidate lane — the one whose front
 /// event sorts first — and computes a single bound over the other lanes:
 /// each one's front event, or, for a lane that has produced data before
-/// but holds none now, its last pushed timestamp (it may still produce an
-/// event there). The span is the longest prefix of the candidate's front
-/// run that sorts before that bound, so a lane that is merely draining
-/// slower cannot cause misordering. After finish() only lanes holding data
-/// bound the span.
+/// but holds none now, its last tick (it may still produce an event
+/// there). The span is the longest prefix of the candidate's front run
+/// that sorts before that bound, so a lane that is merely draining slower
+/// cannot cause misordering. After finish() only lanes holding data bound
+/// the span.
+///
+/// A lane's last tick is the largest timestamp pushed to it or punctuated
+/// on it. The live tap merges only the events a Merged fold reads (the
+/// lock events), so most of each harvested buffer never reaches the
+/// merger: punctuate() advances the lane to the buffer's last timestamp
+/// all the same. A lane whose buffers carry no merged events therefore
+/// bounds the others at the tick it has provably reached — its own future
+/// events sort at or after it, and a tie there ranks as for any empty
+/// lane — instead of at a stale tick that would hold them back until
+/// finish().
 ///
 /// How much it holds is set by the harvest order: under backpressure
 /// SessionWatchdog drains each processor's whole backlog in turn, so a
-/// lane can hold up to a ring's worth while another catches up. That
-/// order stays: interleaving processors in the harvest saved memory here
-/// but halved the records per compressed block (DESIGN.md §13).
+/// lane can hold up to a ring's worth of merged events while another
+/// catches up. That order stays: interleaving processors in the harvest
+/// saved memory here but halved the records per compressed block
+/// (DESIGN.md §13).
 ///
 /// A lane that produces its very first event late (behind what has been
 /// released) is the one hazard this cannot defend against: live feeds are
@@ -75,7 +85,7 @@ struct FileCursor {
 /// due.
 ///
 /// Span lifetime: a span (and a pointer from next()) stays valid until
-/// the next push(), nextSpan() or next() call.
+/// the next push(), punctuate(), nextSpan() or next() call.
 class OrderedMerger {
  public:
   /// Lane index space is dense [0, lanes); grows on demand.
@@ -85,6 +95,9 @@ class OrderedMerger {
   void push(uint32_t lane, std::vector<DecodedEvent>&& run);
   /// Appends a single event, as a one-event run.
   void push(uint32_t lane, DecodedEvent event);
+  /// `lane`, which carries `processor`'s events, has reached `tick`: any
+  /// event it is still to push sorts at or after (tick, processor).
+  void punctuate(uint32_t lane, uint32_t processor, uint64_t tick);
   void finish() noexcept { finished_ = true; }
 
   /// The next span that is safe to release, or an empty span when none is
@@ -166,10 +179,12 @@ class StreamCursor {
   /// events were ingested. Files that cannot be opened (absent, or
   /// mid-write with a stale footer) are skipped until the next poll.
   ///
-  /// Throws std::runtime_error when a resumed cursor does not belong to
-  /// the file now at its path: the fingerprint saved in the cursor no
-  /// longer matches (rotation / rewrite), or the file holds fewer records
-  /// than the cursor claims to have decoded (truncation).
+  /// Throws std::runtime_error when a record inside a file's record count
+  /// fails validation (the error strict TraceSet::fromFiles raises, file
+  /// and record named), or when a resumed cursor does not belong to the
+  /// file now at its path: the fingerprint saved in the cursor no longer
+  /// matches (rotation / rewrite), or the file holds fewer records than
+  /// the cursor claims to have decoded (truncation).
   size_t poll();
 
   /// Next event in merged order, or nullptr (need more polls / drained).

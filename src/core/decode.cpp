@@ -15,90 +15,119 @@ bool headerLooksValid(uint64_t headerWord, uint32_t offset, uint32_t bufferWords
   return true;
 }
 
-DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
-                         uint32_t processor, uint64_t& tsBase,
-                         std::vector<DecodedEvent>& out,
-                         const DecodeOptions& options, uint32_t limitWords) {
+namespace {
+
+/// The one header walk over a buffer (§3.1–3.2): validity rules, anchor
+/// re-basing, timestamp unwrap and the DecodeStats tallies. It calls
+/// emit(headerWord, offset, fullTimestamp) for every event the options
+/// keep; what an event becomes — a DecodedEvent copy or an index entry
+/// over the record's words — is the emitter's business alone.
+template <typename Emit>
+DecodeStats walkBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
+                       const DecodeOptions& options, uint32_t limitWords,
+                       Emit&& emit) {
+  // The tallies live in locals, not in `stats`: the emitter's stores
+  // could alias a DecodeStats field, which would pin every tally to
+  // memory for the whole walk.
+  uint64_t events = 0;
+  uint64_t fillers = 0;
+  uint64_t fillerWords = 0;
   DecodeStats stats;
   const uint64_t* const w = words.data();
   const uint32_t bufferWords = static_cast<uint32_t>(words.size());
   const uint32_t end = (limitWords != 0 && limitWords < bufferWords) ? limitWords : bufferWords;
-  // An event whose payload sits at least kInlineWords words before the
-  // buffer end can take the branch-free padded copy.
-  const uint32_t paddedEnd =
-      bufferWords > EventPayload::kInlineWords ? bufferWords - EventPayload::kInlineWords : 0;
+  // The header's fields are read straight off the word as integers (no
+  // EventHeader): a struct here would round-trip through the stack, and
+  // the anchor test's combined load of its narrow fields would stall on
+  // store forwarding once per event.
+  const auto field = [](uint64_t word, uint32_t shift, uint32_t bits) {
+    return static_cast<uint32_t>(util::extractBits(word, shift, bits));
+  };
   uint64_t base = tsBase;
   uint32_t pos = 0;
   while (pos < end) {
-    // One decode of the header word serves both the validity checks and
-    // the event emit (headerLooksValid would decode it a second time).
-    const EventHeader h = EventHeader::decode(w[pos]);
-    const bool valid =
-        h.lengthWords != 0 && pos + h.lengthWords <= bufferWords &&
-        static_cast<uint32_t>(h.major) <
-            static_cast<uint32_t>(Major::MajorCount) &&
-        !(h.major == Major::Control &&
-          h.minor == static_cast<uint16_t>(ControlMinor::BufferAnchor) &&
-          h.lengthWords != 3);
+    const uint64_t word = w[pos];
+    const uint32_t length = field(word, EventHeader::kLengthShift, EventHeader::kLengthBits);
+    const uint32_t major = field(word, EventHeader::kMajorShift, EventHeader::kMajorBits);
+    const uint32_t ts32 = field(word, EventHeader::kTimestampShift, EventHeader::kTimestampBits);
+    // Structural validity (headerLooksValid, with the anchor's length
+    // checked on the Control arm below): nonzero length, within the
+    // buffer, a known major class.
+    bool valid = length != 0 && pos + length <= bufferWords &&
+                 major < static_cast<uint32_t>(Major::MajorCount);
+
+    // The hot path: an ordinary (non-Control) event. Everything rare —
+    // fillers, anchors — drops to the slow arm.
+    if (valid && major != static_cast<uint32_t>(Major::Control)) [[likely]] {
+      if (pos + length > end) break;  // event extends past the snapshot limit
+      events += 1;
+      base = unwrapTimestamp(base, ts32);
+      emit(word, pos, base);
+      pos += length;
+      continue;
+    }
+
+    const uint32_t minor = field(word, EventHeader::kMinorShift, EventHeader::kMinorBits);
+    const bool isFiller = minor == static_cast<uint32_t>(ControlMinor::Filler);
+    const bool isAnchor = minor == static_cast<uint32_t>(ControlMinor::BufferAnchor);
+    if (isAnchor && length != 3) valid = false;
     if (!valid) {
       // Abandon this buffer; the caller resynchronizes at the next one.
       stats.garbledBuffers += 1;
       stats.garbledWords += bufferWords - pos;
       break;
     }
-    if (pos + h.lengthWords > end) break;  // event extends past the snapshot limit
+    if (pos + length > end) break;  // event extends past the snapshot limit
 
-    // The hot path: an ordinary (non-Control) event, emitted with a
-    // branch-free padded payload copy and a single-pass constructor.
-    // Everything rare — fillers, anchors, events whose payload brushes the
-    // buffer end — drops to the slow arm.
-    if (h.major != Major::Control &&
-        h.lengthWords <= EventPayload::kInlineWords + 1 &&
-        pos + 1 <= paddedEnd) [[likely]] {
-      stats.events += 1;
-      base = unwrapTimestamp(base, h.timestamp);
-      out.emplace_back(h, EventPayload::PaddedTag{}, w + pos + 1,
-                       h.lengthWords - 1, base, bufferSeq, pos, processor);
-      pos += h.lengthWords;
-      continue;
-    }
-
-    const bool isFiller = h.isFiller();
-    const bool isAnchor = h.major == Major::Control &&
-                          h.minor == static_cast<uint16_t>(ControlMinor::BufferAnchor);
     if (isAnchor) {
       // The anchor carries the full 64-bit timestamp: exact re-basing.
       base = w[pos + 1];
     }
 
     if (isFiller) {
-      stats.fillers += 1;
-      stats.fillerWords += h.lengthWords;
+      fillers += 1;
+      fillerWords += length;
     } else {
-      stats.events += 1;
+      events += 1;
     }
 
-    const bool emit = isFiller ? options.keepFillers
+    const bool keep = isFiller ? options.keepFillers
                     : isAnchor ? options.keepAnchors
                                : true;
-    if (emit) {
-      out.emplace_back();
-      DecodedEvent& e = out.back();
-      e.header = h;
-      e.data.assign(w + pos + 1, h.lengthWords - 1);
-      e.fullTimestamp = isAnchor ? base : unwrapTimestamp(base, h.timestamp);
-      e.bufferSeq = bufferSeq;
-      e.offsetInBuffer = pos;
-      e.processor = processor;
-    }
+    if (keep) emit(word, pos, isAnchor ? base : unwrapTimestamp(base, ts32));
     if (!isAnchor && !isFiller) {
       // Keep the base advancing so long gaps between anchors still unwrap.
-      base = unwrapTimestamp(base, h.timestamp);
+      base = unwrapTimestamp(base, ts32);
     }
-    pos += h.lengthWords;
+    pos += length;
   }
   tsBase = base;
+  stats.events = events;
+  stats.fillers = fillers;
+  stats.fillerWords = fillerWords;
   return stats;
+}
+
+}  // namespace
+
+DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
+                         uint32_t processor, uint64_t& tsBase,
+                         std::vector<DecodedEvent>& out,
+                         const DecodeOptions& options, uint32_t limitWords) {
+  return walkBuffer(words, tsBase, options, limitWords,
+                    [&](uint64_t header, uint32_t pos, uint64_t ts) {
+                      appendDecoded(out, words, EventHeader::decode(header), pos,
+                                    ts, bufferSeq, processor);
+                    });
+}
+
+DecodeStats indexBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
+                        std::vector<IndexEntry>& out,
+                        const DecodeOptions& options, uint32_t limitWords) {
+  return walkBuffer(words, tsBase, options, limitWords,
+                    [&](uint64_t header, uint32_t pos, uint64_t ts) {
+                      out.push_back(IndexEntry{ts, pos, static_cast<uint32_t>(header)});
+                    });
 }
 
 }  // namespace ktrace

@@ -231,4 +231,56 @@ DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
                          const DecodeOptions& options = {},
                          uint32_t limitWords = 0);
 
+/// Appends the event whose header `h` sits at word `pos` of `words` to
+/// `out` as a DecodedEvent with timestamp `ts`: decodeBuffer's emit, and
+/// how a reader of an index run copies out the events it keeps.
+inline void appendDecoded(std::vector<DecodedEvent>& out,
+                          std::span<const uint64_t> words, const EventHeader& h,
+                          uint32_t pos, uint64_t ts, uint64_t bufferSeq,
+                          uint32_t processor) {
+  const uint64_t* const payload = words.data() + pos + 1;
+  // A payload that fits inline and sits at least kInlineWords words before
+  // the buffer end takes the branch-free padded copy and the single-pass
+  // constructor; a long one, or one brushing the buffer end, is assigned.
+  if (h.lengthWords <= EventPayload::kInlineWords + 1 &&
+      pos + 1 + EventPayload::kInlineWords <= words.size()) [[likely]] {
+    out.emplace_back(h, EventPayload::PaddedTag{}, payload, h.lengthWords - 1,
+                     ts, bufferSeq, pos, processor);
+    return;
+  }
+  DecodedEvent& e = out.emplace_back();
+  e.header = h;
+  e.data.assign(payload, h.lengthWords - 1);
+  e.fullTimestamp = ts;
+  e.bufferSeq = bufferSeq;
+  e.offsetInBuffer = pos;
+  e.processor = processor;
+}
+
+/// One event of an index run: its unwrapped timestamp, where its header
+/// sits in the buffer, and the header's low word — length, major and
+/// minor (EventHeader's bits [31:0]) — so a reader that only classifies
+/// events never touches the buffer. The payload stays in the buffer's
+/// words, which the event is read from in place (DESIGN.md §13).
+struct IndexEntry {
+  uint64_t fullTimestamp = 0;
+  uint32_t offset = 0;  // word offset of the header in its buffer
+  uint32_t type = 0;    // the header word's bits [31:0]
+
+  Major major() const noexcept {
+    return static_cast<Major>(
+        util::extractBits(type, EventHeader::kMajorShift, EventHeader::kMajorBits));
+  }
+};
+
+/// The same walk as decodeBuffer — same validity rules, anchor re-basing,
+/// timestamp unwrap, options and DecodeStats — but appends one IndexEntry
+/// per event decodeBuffer would emit, in the same order, instead of
+/// copying the event out. The entries index `words`, so they are valid
+/// as long as those words are.
+DecodeStats indexBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
+                        std::vector<IndexEntry>& out,
+                        const DecodeOptions& options = {},
+                        uint32_t limitWords = 0);
+
 }  // namespace ktrace

@@ -43,40 +43,41 @@ ProcessorCounters MonitorSnapshot::totals() const {
   return t;
 }
 
-bool parseHeartbeat(const DecodedEvent& event, Heartbeat& out) noexcept {
+bool parseHeartbeat(Major major, uint16_t minor, std::span<const uint64_t> payload,
+                    Heartbeat& out) noexcept {
   // Accept the 11-word layout written before the sink/stale words existed,
   // the 14-word one written before the recovery words, and the 16-word one
   // written before the compression accounting (the missing fields stay
   // zero), as well as the current 18-word layout.
-  if (event.header.major != Major::Monitor ||
-      event.header.minor != static_cast<uint16_t>(MonitorMinor::Heartbeat) ||
-      event.data.size() < kHeartbeatPayloadWordsV1) {
+  if (major != Major::Monitor ||
+      minor != static_cast<uint16_t>(MonitorMinor::Heartbeat) ||
+      payload.size() < kHeartbeatPayloadWordsV1) {
     return false;
   }
   out = Heartbeat{};
-  out.heartbeatSeq = event.data[0];
-  out.bufferSeq = event.data[1];
-  out.eventsLogged = event.data[2];
-  out.wordsReserved = event.data[3];
-  out.reserveRetries = event.data[4];
-  out.slowPathEntries = event.data[5];
-  out.eventsDropped = event.data[6];
-  out.fillerWords = event.data[7];
-  out.consumerBuffers = event.data[8];
-  out.consumerLost = event.data[9];
-  out.consumerMismatches = event.data[10];
-  if (event.data.size() >= kHeartbeatPayloadWordsV2) {
-    out.sinkDropped = event.data[11];
-    out.sinkBackpressure = event.data[12];
-    out.staleCommits = event.data[13];
+  out.heartbeatSeq = payload[0];
+  out.bufferSeq = payload[1];
+  out.eventsLogged = payload[2];
+  out.wordsReserved = payload[3];
+  out.reserveRetries = payload[4];
+  out.slowPathEntries = payload[5];
+  out.eventsDropped = payload[6];
+  out.fillerWords = payload[7];
+  out.consumerBuffers = payload[8];
+  out.consumerLost = payload[9];
+  out.consumerMismatches = payload[10];
+  if (payload.size() >= kHeartbeatPayloadWordsV2) {
+    out.sinkDropped = payload[11];
+    out.sinkBackpressure = payload[12];
+    out.staleCommits = payload[13];
   }
-  if (event.data.size() >= kHeartbeatPayloadWordsV3) {
-    out.reclaimedWords = event.data[14];
-    out.tornBuffers = event.data[15];
+  if (payload.size() >= kHeartbeatPayloadWordsV3) {
+    out.reclaimedWords = payload[14];
+    out.tornBuffers = payload[15];
   }
-  if (event.data.size() >= kHeartbeatPayloadWords) {
-    out.sinkBytesWritten = event.data[16];
-    out.sinkRawBytes = event.data[17];
+  if (payload.size() >= kHeartbeatPayloadWords) {
+    out.sinkBytesWritten = payload[16];
+    out.sinkRawBytes = payload[17];
   }
   return true;
 }

@@ -30,6 +30,7 @@
 #include <chrono>
 #include <cstdint>
 #include <mutex>
+#include <span>
 #include <thread>
 #include <vector>
 
@@ -153,8 +154,19 @@ struct Heartbeat {
   uint64_t sinkRawBytes = 0;
 };
 
-/// True (and fills `out`) when `event` is a well-formed heartbeat.
-bool parseHeartbeat(const DecodedEvent& event, Heartbeat& out) noexcept;
+/// True (and fills `out`) when an event of class (major, minor) with
+/// payload words `payload` is a well-formed heartbeat. Takes the payload
+/// as a span so an event read in place from its buffer parses without a
+/// copy.
+bool parseHeartbeat(Major major, uint16_t minor, std::span<const uint64_t> payload,
+                    Heartbeat& out) noexcept;
+
+/// The same, for a decoded event.
+inline bool parseHeartbeat(const DecodedEvent& event, Heartbeat& out) noexcept {
+  return parseHeartbeat(event.header.major, event.header.minor,
+                        std::span<const uint64_t>(event.data.data(), event.data.size()),
+                        out);
+}
 
 /// Reads `control`'s counters, then logs one TRACE_MONITOR heartbeat event
 /// on it (counters first, so the heartbeat's own event is *not* included

@@ -1029,6 +1029,11 @@ bool TraceFileReader::readBuffer(uint64_t k, BufferRecord& out) {
   return true;
 }
 
+std::string damagedRecordMessage(const std::string& path, uint64_t k) {
+  return util::strprintf("%s: record %llu failed validation (damaged or CRC mismatch)",
+                         path.c_str(), static_cast<unsigned long long>(k));
+}
+
 std::string rotationSegmentPath(const std::string& basePath, uint32_t segment) {
   if (segment == 0) return basePath;
   const size_t dot = basePath.find_last_of('.');

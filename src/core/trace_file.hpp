@@ -109,6 +109,10 @@ struct TraceWriterOptions {
 /// exactly write order.
 std::string rotationSegmentPath(const std::string& basePath, uint32_t segment);
 
+/// What a strict reader reports when record `k` of `path`, inside the
+/// file's record count, fails validation: the record is damaged.
+std::string damagedRecordMessage(const std::string& path, uint64_t k);
+
 /// Deterministic retry delay before attempt `attempt` (0-based: the delay
 /// slept after the attempt fails): exponential base start<<attempt clamped
 /// to max, with seeded jitter in [base/2, base]. Pure function of

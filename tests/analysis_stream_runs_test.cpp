@@ -1,15 +1,19 @@
-// The live tap at run granularity (DESIGN.md §13): a decoded buffer is
-// one run, observed, merged and folded whole. These tests pin the three
-// claims that make that safe:
-//   - StreamEngine::observeRun leaves the engine exactly as observe() on
-//     each event would, snapshot for snapshot, through window creation
-//     below the watermark, stragglers and pruning inside a run;
+// The live tap at run granularity (DESIGN.md §13): a buffer is one run,
+// observed, merged and folded whole. These tests pin the claims that make
+// that safe:
+//   - StreamEngine::onRun, over a buffer read in place as an index run,
+//     leaves the engine exactly as observe() on each event would,
+//     snapshot for snapshot, through window creation below the watermark,
+//     stragglers and pruning inside a run;
 //   - the heartbeat history is bounded by the retained windows, without
 //     changing any retained window's monitor values;
 //   - OrderedMerger's released spans join into exactly MergeCursor's
 //     order for randomized per-lane runs with timestamp ties, pushed
 //     interleaved or whole-backlog-first, and LiveAnalyzer's folds after
-//     finish() equal the post-hoc tools over the same files.
+//     finish() equal the post-hoc tools over the same files — with lanes
+//     whose long lock-free stretches reach the merger only as
+//     punctuation, which bounds the other lanes without holding them
+//     back.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -69,7 +73,23 @@ const char* kMonitors =
     "loss_ratio = lost / (logged + lost)\n"
     "logged_total = logged\n";
 
-// --- observeRun == observe, event by event -----------------------------
+// --- onRun == observe, event by event -----------------------------------
+
+/// `events` (one processor, timestamps never decreasing) as a harvested
+/// buffer holds them: an anchor carrying the first event's full timestamp,
+/// then each event's header and payload words.
+std::vector<uint64_t> encodeBuffer(const std::vector<DecodedEvent>& events) {
+  const uint64_t first = events.front().fullTimestamp;
+  std::vector<uint64_t> words = {
+      EventHeader::encode(static_cast<uint32_t>(first), 3, Major::Control,
+                          static_cast<uint16_t>(ControlMinor::BufferAnchor)),
+      first, 0};
+  for (const DecodedEvent& e : events) {
+    words.push_back(e.header.encode());
+    words.insert(words.end(), e.data.begin(), e.data.end());
+  }
+  return words;
+}
 
 TEST(StreamEngineRunTest, RunEntryMatchesEventByEvent) {
   constexpr uint32_t kProcs = 4;
@@ -85,26 +105,28 @@ TEST(StreamEngineRunTest, RunEntryMatchesEventByEvent) {
                                     streaming::parseMonitorConfig(kMonitors));
     std::vector<uint64_t> tick(kProcs, 0);
     std::vector<uint64_t> beats(kProcs, 0);
-    for (int r = 0; r < 160; ++r) {
+    std::vector<uint64_t> tsBase(kProcs, 0);
+    std::vector<IndexEntry> index;
+    for (int r = 0; r < 200; ++r) {
+      uint32_t p = static_cast<uint32_t>(rng.nextBelow(kProcs));
+      if (p == kStraggler && r < 100) p = 0;
       std::vector<DecodedEvent> run;
-      // Now and then one span that switches processor part way.
-      const int pieces = rng.nextBelow(5) == 0 ? 2 : 1;
-      for (int piece = 0; piece < pieces; ++piece) {
-        uint32_t p = static_cast<uint32_t>(rng.nextBelow(kProcs));
-        if (p == kStraggler && r < 80) p = 0;
-        const uint64_t n = 1 + rng.nextBelow(40);
-        for (uint64_t i = 0; i < n; ++i) {
-          tick[p] += rng.nextBelow(8);  // 0: a tie within the run
-          if (rng.nextBelow(6) == 0) {
-            ++beats[p];
-            run.push_back(makeHeartbeat(p, tick[p], beats[p], 10 * tick[p],
-                                        beats[p] % 5));
-          } else {
-            run.push_back(makeEvent(p, tick[p]));
-          }
+      const uint64_t n = 1 + rng.nextBelow(40);
+      for (uint64_t i = 0; i < n; ++i) {
+        tick[p] += rng.nextBelow(8);  // 0: a tie within the run
+        if (rng.nextBelow(6) == 0) {
+          ++beats[p];
+          run.push_back(makeHeartbeat(p, tick[p], beats[p], 10 * tick[p],
+                                      beats[p] % 5));
+        } else {
+          run.push_back(makeEvent(p, tick[p]));
         }
       }
-      byRun.observeRun(run);
+      const std::vector<uint64_t> words = encodeBuffer(run);
+      index.clear();
+      indexBuffer(words, tsBase[p], index);
+      ASSERT_EQ(index.size(), run.size());
+      byRun.onRun(streaming::IndexRun{words, index, static_cast<uint64_t>(r), p});
       for (const DecodedEvent& e : run) byEvent.observe(e);
       ASSERT_EQ(byRun.snapshotJson("t"), byEvent.snapshotJson("t"))
           << "seed " << seed << " run " << r;
@@ -145,6 +167,51 @@ TEST(OrderedMergerRunTest, EqualPositionsGoInLaneOrderAndWaitForEmptyLanes) {
   e = merger.next();
   ASSERT_NE(e, nullptr);
   EXPECT_EQ(e->header.minor, 2u);
+  EXPECT_TRUE(merger.drained());
+}
+
+// --- Punctuation: a lane with no merged events still bounds the others ----
+
+DecodedEvent at(uint32_t proc, uint64_t tick) { return tagged(proc, tick, 0); }
+
+std::vector<DecodedEvent> runOf(std::initializer_list<DecodedEvent> events) {
+  return std::vector<DecodedEvent>(events);
+}
+
+std::vector<std::pair<uint64_t, uint32_t>> releasedBy(streaming::OrderedMerger& m) {
+  std::vector<std::pair<uint64_t, uint32_t>> out;
+  for (auto span = m.nextSpan(); !span.empty(); span = m.nextSpan()) {
+    for (const DecodedEvent& e : span) out.emplace_back(e.fullTimestamp, e.processor);
+  }
+  return out;
+}
+
+TEST(OrderedMergerRunTest, PunctuatedLaneBoundsOthersAtItsTickWithoutHoldingThemBack) {
+  using Released = std::vector<std::pair<uint64_t, uint32_t>>;
+  // Lane 1 (processor 1) has logged through tick 100, none of it merged.
+  streaming::OrderedMerger merger(4);
+  merger.punctuate(1, 1, 100);
+  merger.push(0, runOf({at(0, 40), at(0, 100), at(0, 130)}));
+  merger.push(2, runOf({at(2, 60), at(2, 100), at(2, 120)}));
+  // Lane 3 names processor 1 too: its event at exactly (100, 1) ties with
+  // the punctuated tick and, as with any empty lane's last tick, waits.
+  merger.push(3, runOf({at(1, 100)}));
+  // Nothing at or after (100, 1) is released: (100, 0) sorts before it,
+  // (100, 1) ties and (100, 2) sorts after it.
+  EXPECT_EQ(releasedBy(merger), (Released{{40, 0}, {60, 2}, {100, 0}}));
+  EXPECT_EQ(merger.buffered(), 4u);
+
+  // Lane 1's next buffer again carries nothing merged, but takes it to
+  // tick 125 (and lane 3 moves on too): what waited behind them goes on
+  // that very drain.
+  merger.punctuate(1, 1, 125);
+  merger.punctuate(3, 1, 125);
+  EXPECT_EQ(releasedBy(merger), (Released{{100, 1}, {100, 2}, {120, 2}}));
+  // Punctuation never moves a lane backwards.
+  merger.punctuate(1, 1, 90);
+  EXPECT_TRUE(releasedBy(merger).empty());
+  merger.finish();
+  EXPECT_EQ(releasedBy(merger), (Released{{130, 0}}));
   EXPECT_TRUE(merger.drained());
 }
 
@@ -223,7 +290,7 @@ TEST(StreamEngineRunTest, HeartbeatHistoryIsBoundedByRetainedWindows) {
 
 // --- Randomized run merge vs MergeCursor, live folds vs post-hoc ---------
 
-constexpr uint32_t kProcs = 3;
+constexpr uint32_t kProcs = 4;
 constexpr uint32_t kBufferWords = 64;
 
 class RunMergeTest : public ::testing::TestWithParam<uint64_t> {
@@ -240,8 +307,11 @@ class RunMergeTest : public ::testing::TestWithParam<uint64_t> {
   // Logs a random mix — locks, pc samples, heartbeats, app events of 1 to
   // 7 words — on kProcs processors of a virtual clock that often does
   // not move between events, so timestamps tie within a buffer and across
-  // processors. Each processor's first buffer holds a single event, at
-  // ticks 1, 2, 3 in processor order: pushing those first registers every
+  // processors. Processors 2 and 3 log long lock-free stretches (many
+  // whole buffers) — processor 3's first lock event comes near the end —
+  // so the live tap's merger sees their lanes only through punctuation
+  // there. Each processor's first buffer holds a single event, at ticks
+  // 1, 2, ... in processor order: pushing those first registers every
   // lane before any of its data is due.
   void generate(uint64_t seed) {
     FakeClock clock(0, 0);
@@ -269,9 +339,11 @@ class RunMergeTest : public ::testing::TestWithParam<uint64_t> {
     for (int i = 0; i < 4000; ++i) {
       tick += rng.nextBelow(3);
       clock.set(tick);
-      ShmTraceControl& control =
-          facility.control(static_cast<uint32_t>(rng.nextBelow(kProcs)));
-      const uint64_t kind = rng.nextBelow(10);
+      const auto p = static_cast<uint32_t>(rng.nextBelow(kProcs));
+      ShmTraceControl& control = facility.control(p);
+      const bool lockFree = (p == 2 && i >= 2000) || (p == 3 && i < 3500);
+      uint64_t kind = rng.nextBelow(10);
+      if (kind < 3 && lockFree) kind = 5;
       if (kind < 3) {
         const uint64_t lock = 1 + rng.nextBelow(3);
         const uint64_t pid = 1 + rng.nextBelow(3);

@@ -12,8 +12,11 @@
 #include <unistd.h>
 
 #include <cmath>
+#include <cstdio>
 #include <filesystem>
+#include <functional>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "analysis/completeness.hpp"
@@ -562,6 +565,90 @@ TEST_F(StreamingTraceTest, ResumeRejectsTruncatedFile) {
   streaming::StreamCursor resumed({path});
   resumed.resume(saved);
   EXPECT_THROW(resumed.poll(), std::runtime_error);
+}
+
+/// Flips one bit of the byte at `offset`, so the byte surely changes.
+void flipBit(const std::string& path, uint64_t offset) {
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  const int c = std::fgetc(f);
+  ASSERT_NE(c, EOF);
+  ASSERT_EQ(std::fseek(f, static_cast<long>(offset), SEEK_SET), 0);
+  std::fputc(c ^ 0x01, f);
+  std::fclose(f);
+}
+
+/// File offset of a payload byte of record k (uncompressed records follow
+/// the 128-byte file header back to back, each a 32-byte header and its
+/// words).
+uint64_t payloadByteOf(uint64_t k) {
+  return 128 + k * (32 + kBufferWords * 8ull) + 32 + 100;
+}
+
+std::string errorOf(const std::function<void()>& f) {
+  try {
+    f();
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST_F(StreamingTraceTest, DamagedRecordThrowsFromStreamCursorAsFromFiles) {
+  // Over closed files poll()+finish() must be exactly fromFiles +
+  // MergeCursor, so a damaged record must not end the stream early and
+  // silently: the cursor throws what strict fromFiles throws.
+  TraceFileReader source(paths_[0]);
+  std::vector<BufferRecord> records;
+  for (uint64_t k = 0; k < source.bufferCount(); ++k) {
+    BufferRecord record;
+    ASSERT_TRUE(source.readBuffer(k, record));
+    records.push_back(std::move(record));
+  }
+  ASSERT_GE(records.size(), 6u);
+  TraceWriterOptions small;
+  small.indexRecordsPerEntry = 2;  // one CRC per two records
+  const uint64_t damaged = records.size() * 2 / 3;
+
+  const std::string closed = (dir_ / "closed.ktrc").string();
+  {
+    TraceFileWriter writer(closed, source.meta(), nullptr, small);
+    for (const BufferRecord& r : records) ASSERT_TRUE(writer.writeBuffer(r));
+    ASSERT_TRUE(writer.flush());
+  }
+  flipBit(closed, payloadByteOf(damaged));
+  const std::string strict =
+      errorOf([&] { analysis::TraceSet::fromFiles({closed}); });
+  ASSERT_NE(strict.find(closed), std::string::npos) << strict;
+  ASSERT_NE(strict.find("record " + std::to_string(damaged & ~uint64_t{1})),
+            std::string::npos)
+      << strict;
+  {
+    streaming::StreamCursor cursor({closed});
+    EXPECT_EQ(errorOf([&] { cursor.poll(); }), strict);
+    EXPECT_EQ(errorOf([&] { cursor.finish(); }), strict);
+    EXPECT_FALSE(cursor.done());
+  }
+
+  // A growing file: polls before the damaged record decode normally, and
+  // the poll that reaches it throws (and so does every later one).
+  const std::string growing = (dir_ / "growing.ktrc").string();
+  TraceFileWriter writer(growing, source.meta(), nullptr, small);
+  for (uint64_t k = 0; k < damaged; ++k) ASSERT_TRUE(writer.writeBuffer(records[k]));
+  ASSERT_TRUE(writer.flush());
+  streaming::StreamCursor cursor({growing});
+  EXPECT_GT(cursor.poll(), 0u);
+  EXPECT_EQ(cursor.cursors()[0].recordsDecoded, damaged);
+  for (uint64_t k = damaged; k < records.size(); ++k) {
+    ASSERT_TRUE(writer.writeBuffer(records[k]));
+  }
+  ASSERT_TRUE(writer.flush());
+  flipBit(growing, payloadByteOf(damaged));
+  const std::string error = errorOf([&] { cursor.poll(); });
+  EXPECT_NE(error.find(growing), std::string::npos) << error;
+  EXPECT_EQ(errorOf([&] { cursor.poll(); }), error);
+  EXPECT_EQ(error, errorOf([&] { analysis::TraceSet::fromFiles({growing}); }));
 }
 
 }  // namespace

@@ -1,12 +1,20 @@
 // Buffer decoding: filler skipping, anchor re-basing, timestamp unwrap,
-// garbled-header resynchronization (paper §3.1-§3.2).
+// garbled-header resynchronization (paper §3.1-§3.2), and the index walk
+// (indexBuffer), which must agree with decodeBuffer event for event.
 #include "core/decode.hpp"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
+#include <filesystem>
 #include <span>
+#include <string>
 #include <vector>
+
+#include "core/ktrace.hpp"
+#include "core/trace_file.hpp"
+#include "util/rng.hpp"
 
 namespace ktrace {
 namespace {
@@ -294,6 +302,183 @@ TEST(EventPayload, EqualityIgnoresRepresentation) {
   reused.assign(padded.data(), 3);
   EXPECT_TRUE(reused == viaAssign);
   EXPECT_TRUE(EventPayload() == EventPayload(nullptr, 0));
+}
+
+// --- The index walk agrees with decodeBuffer ----------------------------
+
+/// Walks `words` both ways from the same base with the same options and
+/// limit: the index entries must name exactly the events decodeBuffer
+/// copies out — same timestamps, offsets, headers and payloads — with the
+/// same DecodeStats and the same base carried out.
+void expectIndexMatchesDecode(std::span<const uint64_t> words, uint64_t seq,
+                              uint64_t tsBase, const DecodeOptions& options,
+                              uint32_t limitWords, const std::string& what) {
+  std::vector<DecodedEvent> events;
+  std::vector<IndexEntry> index;
+  uint64_t decodeBase = tsBase;
+  uint64_t indexBase = tsBase;
+  const DecodeStats decoded =
+      decodeBuffer(words, seq, 1, decodeBase, events, options, limitWords);
+  const DecodeStats indexed =
+      indexBuffer(words, indexBase, index, options, limitWords);
+  EXPECT_EQ(decoded, indexed) << what;
+  EXPECT_EQ(decodeBase, indexBase) << what;
+  ASSERT_EQ(events.size(), index.size()) << what;
+  for (size_t i = 0; i < index.size(); ++i) {
+    const DecodedEvent& e = events[i];
+    const IndexEntry& x = index[i];
+    ASSERT_EQ(x.fullTimestamp, e.fullTimestamp) << what << " event " << i;
+    ASSERT_EQ(x.offset, e.offsetInBuffer) << what << " event " << i;
+    ASSERT_EQ(words[x.offset], e.header.encode()) << what << " event " << i;
+    ASSERT_EQ(x.type, static_cast<uint32_t>(words[x.offset])) << what << " event " << i;
+    ASSERT_TRUE(e.data == words.subspan(x.offset + 1, e.header.lengthWords - 1))
+        << what << " event " << i;
+  }
+}
+
+std::vector<DecodeOptions> optionSets() {
+  std::vector<DecodeOptions> sets(4);
+  sets[1].keepFillers = true;
+  sets[2].keepAnchors = true;
+  sets[3].keepFillers = sets[3].keepAnchors = true;
+  return sets;
+}
+
+/// A buffer with everything the walk treats specially: an anchor, a wrap
+/// of the 32-bit stamp, payloads from empty to past the inline capacity,
+/// an unknown-to-the-fast-path Control minor, and a filler tail.
+std::vector<uint64_t> busyBuffer() {
+  auto buf = makeBuffer(64);
+  const uint64_t t0 = (3ull << 32) - 40;
+  putAnchor(buf, 0, t0, 5);
+  uint32_t at = putEvent(buf, 3, static_cast<uint32_t>(t0 + 10), Major::Lock, 0, {1, 2, 0});
+  at = putEvent(buf, at, static_cast<uint32_t>(t0 + 50), Major::Test, 1, {});  // wraps
+  at = putEvent(buf, at, static_cast<uint32_t>(t0 + 60), Major::Prof, 0,
+                {1, 2, 3, 4, 5, 6, 7, 8});
+  at = putEvent(buf, at, static_cast<uint32_t>(t0 + 70), Major::Control, 7, {9});
+  at = putEvent(buf, at, static_cast<uint32_t>(t0 + 70), Major::Monitor, 0, {1, 2, 3});
+  buf[at] = EventHeader::encode(static_cast<uint32_t>(t0 + 80), 64 - at, Major::Control,
+                                kFiller);
+  return buf;
+}
+
+TEST(IndexWalk, AgreesWithDecodeOverGarbledAndTruncatedBuffers) {
+  const std::vector<uint64_t> clean = busyBuffer();
+  for (const DecodeOptions& options : optionSets()) {
+    // Whole, then cut at every limit and every truncated length.
+    for (uint32_t limit = 0; limit <= 64; ++limit) {
+      expectIndexMatchesDecode(clean, 5, 0, options, limit,
+                               "limit " + std::to_string(limit));
+    }
+    for (size_t n = 0; n <= clean.size(); ++n) {
+      expectIndexMatchesDecode(std::span<const uint64_t>(clean).first(n), 5, 7,
+                               options, 0, "truncated to " + std::to_string(n));
+    }
+    // Garbled: a zero length, a length past the end, an unknown major and
+    // a 5-word anchor, each at every header position in turn.
+    const uint64_t garbage[] = {
+        EventHeader::encode(1, 0, Major::Test, 0),
+        EventHeader::encode(1, 100, Major::Test, 0),
+        EventHeader::encode(1, 2, static_cast<Major>(40), 0),
+        EventHeader::encode(1, 5, Major::Control, kAnchor),
+    };
+    for (const uint64_t bad : garbage) {
+      for (uint32_t at = 0; at < clean.size(); ++at) {
+        std::vector<uint64_t> buf = clean;
+        buf[at] = bad;
+        expectIndexMatchesDecode(buf, 5, 0, options, 0,
+                                 "garbage at " + std::to_string(at));
+      }
+    }
+    // Random bit flips anywhere, with random limits.
+    util::Rng rng(42);
+    for (int iter = 0; iter < 2000; ++iter) {
+      std::vector<uint64_t> buf = clean;
+      const int flips = 1 + static_cast<int>(rng.nextBelow(3));
+      for (int f = 0; f < flips; ++f) {
+        buf[rng.nextBelow(buf.size())] ^= uint64_t{1} << rng.nextBelow(64);
+      }
+      const auto limit = static_cast<uint32_t>(rng.nextBelow(2) ? 0 : rng.nextBelow(65));
+      expectIndexMatchesDecode(buf, 5, rng.next(), options, limit,
+                               "flips, iteration " + std::to_string(iter));
+    }
+  }
+}
+
+TEST(IndexWalk, AgreesWithDecodeOverFormatMatrixRecords) {
+  // Real records — anchors, fillers, stamps wrapping 2^32, payloads of 0
+  // to 9 words — written in v2, v3 and compressed v3 and read back.
+  constexpr uint32_t kProcs = 2;
+  constexpr uint32_t kBufferWords = 64;
+  FakeClock clock((1ull << 32) - 3000, 17);
+  FacilityConfig cfg;
+  cfg.numProcessors = kProcs;
+  cfg.bufferWords = kBufferWords;
+  cfg.buffersPerProcessor = 64;
+  cfg.clockKind = ClockKind::Fake;
+  cfg.clockOverride = clock.ref();
+  cfg.mode = Mode::Stream;
+  Facility facility(cfg);
+  facility.mask().enableAll();
+  MemorySink sink;
+  Consumer consumer(facility, sink, {});
+  util::Rng rng(7);
+  for (int i = 0; i < 1500; ++i) {
+    const auto p = static_cast<uint32_t>(rng.nextBelow(kProcs));
+    const std::vector<uint64_t> words(rng.nextBelow(10), static_cast<uint64_t>(i));
+    ASSERT_TRUE(logEventData(facility.control(p), Major::App,
+                             static_cast<uint16_t>(i % 5), words));
+  }
+  facility.flushAll();
+  consumer.drainNow();
+  const std::vector<BufferRecord> logged = sink.records();
+
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("ktrace_index_walk_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  TraceWriterOptions v2;
+  v2.formatVersion = 2;
+  TraceWriterOptions v3;
+  TraceWriterOptions v3z;
+  v3z.compress = true;
+  const std::pair<const char*, TraceWriterOptions> formats[] = {
+      {"v2", v2}, {"v3", v3}, {"v3z", v3z}};
+  size_t records = 0;
+  for (const auto& [name, options] : formats) {
+    for (uint32_t p = 0; p < kProcs; ++p) {
+      TraceFileMeta meta;
+      meta.processorId = p;
+      meta.numProcessors = kProcs;
+      meta.bufferWords = kBufferWords;
+      meta.clockKind = ClockKind::Fake;
+      const std::string path =
+          (dir / (std::string(name) + ".cpu" + std::to_string(p) + ".ktrc")).string();
+      {
+        TraceFileWriter writer(path, meta, nullptr, options);
+        std::vector<const BufferRecord*> mine;
+        for (const BufferRecord& r : logged) {
+          if (r.processor == p) mine.push_back(&r);
+        }
+        ASSERT_EQ(writer.writeBufferBatch(mine.data(), mine.size()), mine.size());
+        ASSERT_TRUE(writer.flush());
+      }
+      TraceFileReader reader(path);
+      uint64_t tsBase = 0;
+      for (uint64_t k = 0; k < reader.bufferCount(); ++k) {
+        BufferView view;
+        ASSERT_TRUE(reader.readBufferView(k, view));
+        for (const DecodeOptions& decode : optionSets()) {
+          expectIndexMatchesDecode(view.words, view.seq, tsBase, decode, 0,
+                                   std::string(name) + " record " + std::to_string(k));
+        }
+        std::vector<IndexEntry> index;
+        indexBuffer(view.words, tsBase, index);  // carry the base on
+        ++records;
+      }
+    }
+  }
+  std::filesystem::remove_all(dir);
+  EXPECT_GT(records, 3u * 40u);
 }
 
 TEST(Decode, HeaderValidationRules) {

@@ -11,6 +11,7 @@
 #include "util/bits.hpp"
 #include "util/cli.hpp"
 #include "util/mapped_file.hpp"
+#include "util/pair_index.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
@@ -48,6 +49,29 @@ TEST(Bits, ExtractDepositRoundTrip) {
   EXPECT_EQ(extractBits(~0ull, 0, 64), ~0ull);
   EXPECT_EQ(lowMask(10), 0x3FFull);
   EXPECT_EQ(lowMask(64), ~0ull);
+}
+
+TEST(PairIndex, SlotsFollowFirstInsertionThroughGrowth) {
+  // Enough keys to grow the table several times, with keys that share a
+  // half (same lock, many pids) and collide in the low bits.
+  util::PairIndex index;
+  EXPECT_EQ(index.find(1, 2), util::PairIndex::kAbsent);
+  constexpr uint64_t kKeys = 5000;
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(index.insert(i % 7, i << 20), i);
+    EXPECT_EQ(index.insert(i % 7, i << 20), i);  // again: same slot
+  }
+  EXPECT_EQ(index.size(), kKeys);
+  for (uint64_t i = 0; i < kKeys; ++i) {
+    ASSERT_EQ(index.find(i % 7, i << 20), i);
+    ASSERT_EQ(index.find(i % 7 + 7, i << 20), util::PairIndex::kAbsent);
+  }
+  const util::PairIndex copy = index;
+  EXPECT_EQ(copy.find(3, uint64_t{3} << 20), 3u);
+  index.clear();
+  EXPECT_EQ(index.size(), 0u);
+  EXPECT_EQ(index.find(0, 0), util::PairIndex::kAbsent);
+  EXPECT_EQ(index.insert(0, 0), 0u);
 }
 
 TEST(Rng, DeterministicPerSeed) {
