@@ -13,7 +13,9 @@ LockAnalysis::LockAnalysis(const TraceSet& trace) {
   // one implementation, identical results live and offline.
   streaming::LockContentionFold fold;
   MergeCursor cursor(trace);
-  while (const DecodedEvent* e = cursor.next()) fold.onEvent(*e);
+  for (auto span = cursor.nextSpan(); !span.empty(); span = cursor.nextSpan()) {
+    fold.onEvents(span);
+  }
   fold.finish();
   *this = LockAnalysis(std::move(fold));
 }

@@ -359,57 +359,12 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
   return set;
 }
 
-MergeCursor::MergeCursor(const TraceSet& trace) {
-  heap_.reserve(trace.numProcessors());
+MergeCursor::MergeCursor(const TraceSet& trace)
+    : merger_(trace.numProcessors()) {
+  merger_.finish();
   for (uint32_t p = 0; p < trace.numProcessors(); ++p) {
-    const std::vector<DecodedEvent>& events = trace.processorEvents(p);
-    if (!events.empty()) heap_.push_back({&events, 0, p});
+    merger_.borrow(p, trace.processorEvents(p));
   }
-  for (size_t i = heap_.size() / 2; i-- > 0;) siftDown(i);
-}
-
-bool MergeCursor::later(const Cursor& a, const Cursor& b) const noexcept {
-  const uint64_t ta = (*a.events)[a.pos].fullTimestamp;
-  const uint64_t tb = (*b.events)[b.pos].fullTimestamp;
-  if (ta != tb) return ta > tb;
-  return a.processor > b.processor;
-}
-
-void MergeCursor::siftDown(size_t i) {
-  const size_t n = heap_.size();
-  for (;;) {
-    size_t first = i;
-    const size_t left = 2 * i + 1;
-    const size_t right = left + 1;
-    if (left < n && later(heap_[first], heap_[left])) first = left;
-    if (right < n && later(heap_[first], heap_[right])) first = right;
-    if (first == i) return;
-    std::swap(heap_[i], heap_[first]);
-    i = first;
-  }
-}
-
-const DecodedEvent* MergeCursor::next() {
-  if (heap_.empty()) return nullptr;
-  Cursor& top = heap_.front();
-  const DecodedEvent* event = &(*top.events)[top.pos];
-  if (++top.pos < top.events->size()) {
-    // Replace-top: one sift instead of a pop + push pair.
-    siftDown(0);
-  } else {
-    top = heap_.back();
-    heap_.pop_back();
-    if (!heap_.empty()) siftDown(0);
-  }
-  return event;
-}
-
-std::vector<const DecodedEvent*> TraceSet::merged() const {
-  std::vector<const DecodedEvent*> out;
-  out.reserve(totalEvents());
-  MergeCursor cursor(*this);
-  while (const DecodedEvent* e = cursor.next()) out.push_back(e);
-  return out;
 }
 
 size_t TraceSet::totalEvents() const noexcept {

@@ -7,14 +7,16 @@
 // thread-pool task (per-processor event vectors are disjoint, so the
 // result is identical to serial decode regardless of thread count) and
 // serves record payloads straight from an mmap of each file. Tools
-// stream the cross-processor merge through a MergeCursor instead of
-// materializing an O(N) pointer vector up front.
+// stream the cross-processor merge through a MergeCursor, which reads
+// the per-processor events in place.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "analysis/streaming/stream_cursor.hpp"
 #include "core/decode.hpp"
 #include "core/sink.hpp"
 
@@ -57,13 +59,6 @@ class TraceSet {
   const DecodeStats& stats() const noexcept { return stats_; }
   double ticksPerSecond() const noexcept { return ticksPerSecond_; }
 
-  /// All events across processors, merged by full timestamp (stable for
-  /// equal stamps: lower processor first). Pointers reference the
-  /// TraceSet's own storage. Compatibility wrapper over MergeCursor —
-  /// it materializes the whole O(N) vector, so hot paths should stream
-  /// with a MergeCursor instead.
-  std::vector<const DecodedEvent*> merged() const;
-
   size_t totalEvents() const noexcept;
 
   /// Earliest / latest event timestamps across all processors (0 if empty).
@@ -76,31 +71,29 @@ class TraceSet {
   double ticksPerSecond_ = 1e9;
 };
 
-/// Streaming k-way merge over a TraceSet's per-processor streams: yields
-/// every event in full-timestamp order (stable for equal stamps: lower
-/// processor first) one at a time, holding only a k-entry heap instead
-/// of an O(N) pointer vector. The TraceSet must outlive the cursor, and
-/// must not be mutated while one is live.
+/// A TraceSet's events in full-timestamp order (stable for equal stamps:
+/// lower processor first), from an OrderedMerger that borrows each
+/// processor's events as one finished run. Nothing is copied; every span
+/// and event pointer points into the TraceSet and stays valid for its
+/// lifetime, after the cursor is gone too. The TraceSet must not be
+/// mutated while a cursor over it is live.
 class MergeCursor {
  public:
   explicit MergeCursor(const TraceSet& trace);
 
-  /// The next event in global time order, or nullptr when exhausted.
-  const DecodedEvent* next();
+  /// The next event in global time order, or nullptr when exhausted: an
+  /// inline pointer bump over the current span.
+  const DecodedEvent* next() { return merger_.next(); }
 
-  bool done() const noexcept { return heap_.empty(); }
+  /// The next consecutive events of one processor in global time order —
+  /// what next() would return one by one — or an empty span when
+  /// exhausted. Interleaves freely with next().
+  std::span<const DecodedEvent> nextSpan() { return merger_.nextSpan(); }
+
+  bool done() const noexcept { return merger_.drained(); }
 
  private:
-  struct Cursor {
-    const std::vector<DecodedEvent>* events;
-    size_t pos;
-    uint32_t processor;
-  };
-
-  bool later(const Cursor& a, const Cursor& b) const noexcept;
-  void siftDown(size_t i);
-
-  std::vector<Cursor> heap_;  // min-heap on (fullTimestamp, processor)
+  streaming::OrderedMerger merger_;
 };
 
 }  // namespace ktrace::analysis

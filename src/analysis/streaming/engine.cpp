@@ -50,14 +50,15 @@ void StreamEngine::addFold(std::unique_ptr<Fold> fold) {
   } else {
     perProcessorFolds_.push_back(fold.get());
   }
+  for (uint32_t m = 0; m < kMaxMajors; ++m) {
+    if (hasMajor(props.majors, static_cast<Major>(m))) {
+      foldsByMajor_[m].push_back(fold.get());
+    }
+  }
   folds_.push_back(std::move(fold));
 }
 
-StreamEngine::Processor& StreamEngine::processorFor(uint32_t id) {
-  if (hotProcessor_ < processors_.size() &&
-      processors_[hotProcessor_].id == id) {
-    return processors_[hotProcessor_];
-  }
+void StreamEngine::selectProcessor(uint32_t id) {
   auto it = std::lower_bound(
       processors_.begin(), processors_.end(), id,
       [](const Processor& p, uint32_t v) { return p.id < v; });
@@ -66,19 +67,24 @@ StreamEngine::Processor& StreamEngine::processorFor(uint32_t id) {
     it->id = id;
   }
   hotProcessor_ = static_cast<size_t>(it - processors_.begin());
-  return *it;
+  othersLastTick_ = UINT64_MAX;
+  for (const Processor& p : processors_) {
+    if (p.id != id) othersLastTick_ = std::min(othersLastTick_, p.lastTick);
+  }
 }
 
-StreamEngine::Window* StreamEngine::windowFor(uint64_t index,
-                                              uint64_t watermark) {
-  if (hotWindow_ != nullptr && hotWindow_->index == index) return hotWindow_;
-  if (index < prunedBelow_) return nullptr;  // aged out: a late event
+void StreamEngine::selectWindow(uint64_t index, uint64_t watermark) {
+  hotStart_ = index * config_.windowTicks;
+  hotEnd_ = hotStart_ + config_.windowTicks;
+  hotCount_ = nullptr;
+  hotWindow_ = nullptr;
+  if (index < prunedBelow_) return;  // aged out: a late event
   auto [it, inserted] = windows_.try_emplace(index);
   if (inserted) {
     it->second.index = index;
     // A window created below the watermark (a straggler processor's first
     // buffer) is already complete — its end has been passed.
-    if (finished_ || (index + 1) * config_.windowTicks <= watermark) {
+    if (finished_ || hotEnd_ <= watermark) {
       it->second.complete = true;
       ++windowsCompleted_;
     }
@@ -86,7 +92,6 @@ StreamEngine::Window* StreamEngine::windowFor(uint64_t index,
     // (a no-op there); the new window cannot change what they are.
     completeWindows(watermark);
     if (windows_.size() > config_.maxWindows) {
-      hotWindow_ = nullptr;
       while (windows_.size() > config_.maxWindows) {
         const auto oldest = windows_.begin();
         prunedBelow_ = oldest->first + 1;
@@ -94,33 +99,44 @@ StreamEngine::Window* StreamEngine::windowFor(uint64_t index,
       }
       pruneHeartbeats();
       // The new window itself can be the oldest: then it is late too.
-      if (index < prunedBelow_) return nullptr;
+      if (index < prunedBelow_) return;
     }
   }
   hotWindow_ = &it->second;
-  return hotWindow_;
 }
 
-void StreamEngine::countInto(Window* w, uint32_t processor, uint64_t events) {
-  if (events == 0) return;
-  if (w == nullptr) {
+inline void StreamEngine::countInto(uint32_t processor, uint64_t events) {
+  if (hotCount_ != nullptr && hotCountCpu_ == processor) [[likely]] {
+    hotWindow_->events += events;
+    *hotCount_ += events;
+  } else if (events != 0) {
+    countIntoSlot(processor, events);
+  }
+}
+
+void StreamEngine::countIntoSlot(uint32_t processor, uint64_t events) {
+  if (hotWindow_ == nullptr) {
     lateEvents_ += events;
     return;
   }
-  w->events += events;
-  auto& cpus = w->perProcessor;
+  auto& cpus = hotWindow_->perProcessor;
   auto it = cpus.begin();
   while (it != cpus.end() && it->first < processor) ++it;
   if (it == cpus.end() || it->first != processor) {
     it = cpus.insert(it, {processor, 0});
   }
-  it->second += events;
+  hotCount_ = &it->second;
+  hotCountCpu_ = processor;
+  hotWindow_->events += events;
+  *hotCount_ += events;
 }
 
-void StreamEngine::completeWindows(uint64_t watermark) {
-  if (config_.windowTicks == 0) return;
+inline void StreamEngine::completeWindows(uint64_t watermark) {
   // Every window from completedBelow_ on ends at or after this tick.
-  if (watermark < (completedBelow_ + 1) * config_.windowTicks) return;
+  if (config_.windowTicks == 0 ||
+      watermark < (completedBelow_ + 1) * config_.windowTicks) [[likely]] {
+    return;
+  }
   for (auto it = windows_.lower_bound(completedBelow_); it != windows_.end();
        ++it) {
     if ((it->first + 1) * config_.windowTicks > watermark) break;
@@ -153,6 +169,15 @@ size_t StreamEngine::heartbeatsRetained() const noexcept {
   return n;
 }
 
+void StreamEngine::noteHeartbeat(Processor& proc, uint16_t minor,
+                                 std::span<const uint64_t> payload,
+                                 uint64_t tick) {
+  Heartbeat hb;
+  if (parseHeartbeat(Major::Monitor, minor, payload, hb)) {
+    proc.heartbeats.push_back({tick, hb});
+  }
+}
+
 template <class Refs>
 void StreamEngine::observeSlice(const Refs& events) {
   // One processor's events. `watermark` tracks what observe() would hold
@@ -161,45 +186,39 @@ void StreamEngine::observeSlice(const Refs& events) {
   // before it can push them out, exactly as event by event. After the
   // slice's first event that watermark never falls, so completing windows
   // only there and at the end reaches the same state as after every event.
+  // Events of the processor and window the last ones touched take no
+  // lookup: the slow paths run only at a switch.
   const uint32_t cpu = events[0].processor();
-  Processor& proc = processorFor(cpu);
-  uint64_t others = UINT64_MAX;
-  for (const Processor& p : processors_) {
-    if (p.id != cpu) others = std::min(others, p.lastTick);
+  if (hotProcessor_ >= processors_.size() ||
+      processors_[hotProcessor_].id != cpu) [[unlikely]] {
+    selectProcessor(cpu);
   }
+  Processor& proc = processors_[hotProcessor_];
+  const uint64_t others = othersLastTick_;
   eventsObserved_ += events.size();
   uint64_t last = proc.lastTick;
   uint64_t watermark = watermark_;
 
   const uint64_t width = config_.windowTicks;
-  Window* window = nullptr;
-  uint64_t windowStart = 1;  // [windowStart, windowEnd): empty until the
-  uint64_t windowEnd = 0;    // first event picks its window
-  uint64_t counted = 0;
+  uint64_t counted = 0;  // events of the hot window not counted yet
   for (size_t i = 0; i < events.size(); ++i) {
     const EventRef e = events[i];
     const uint64_t tick = e.fullTimestamp();
     if (e.major() == Major::Monitor && keepHeartbeats_) [[unlikely]] {
-      Heartbeat hb;
-      if (parseHeartbeat(e.major(), e.minor(), e.data(), hb)) {
-        proc.heartbeats.push_back({tick, hb});
-      }
+      noteHeartbeat(proc, e.minor(), e.data(), tick);
     }
     if (width != 0) {
-      if (tick < windowStart || tick >= windowEnd) {
-        countInto(window, cpu, counted);
+      if (tick < hotStart_ || tick >= hotEnd_) [[unlikely]] {
+        countInto(cpu, counted);
         counted = 0;
-        const uint64_t index = tick / width;
-        windowStart = index * width;
-        windowEnd = windowStart + width;
-        window = windowFor(index, watermark);
+        selectWindow(tick / width, watermark);
       }
       ++counted;
     }
     if (tick > last) last = tick;
     watermark = std::min(others, last);
   }
-  countInto(window, cpu, counted);
+  countInto(cpu, counted);
   proc.lastTick = last;
   watermark_ = watermark;
   completeWindows(watermark_);
@@ -207,10 +226,6 @@ void StreamEngine::observeSlice(const Refs& events) {
 
 void StreamEngine::observe(const DecodedEvent& e) {
   observeSlice(DecodedRefs{std::span<const DecodedEvent>(&e, 1)});
-}
-
-void StreamEngine::onOrdered(const DecodedEvent& e) {
-  for (const auto& fold : folds_) fold->onEvent(e);
 }
 
 void StreamEngine::onRun(const IndexRun& run) {

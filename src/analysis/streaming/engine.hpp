@@ -39,6 +39,7 @@
 // published numbers.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -75,11 +76,17 @@ class StreamEngine {
 
   void addFold(std::unique_ptr<Fold> fold);
 
-  /// Order-insensitive plane: every decoded event, any arrival order.
+  /// Order-insensitive plane: every decoded event, any arrival order. An
+  /// event of the processor and window the last one touched costs O(1).
   void observe(const DecodedEvent& event);
 
-  /// Fold plane: merged-order feed for every fold.
-  void onOrdered(const DecodedEvent& event);
+  /// Fold plane: merged-order feed for every fold. Only the folds whose
+  /// declared majors include the event's see it.
+  void onOrdered(const DecodedEvent& event) {
+    for (Fold* fold : foldsByMajor_[static_cast<uint32_t>(event.header.major)]) {
+      fold->onEvent(event);
+    }
+  }
 
   /// The live tap's entry for one harvested buffer read in place: the
   /// window plane — the same state as observe() on each of its events in
@@ -138,12 +145,20 @@ class StreamEngine {
     std::deque<HeartbeatAt> heartbeats;
   };
 
-  Processor& processorFor(uint32_t id);
+  /// Makes processor `id` the hot one (added if new), with the other
+  /// processors' minimum last tick.
+  void selectProcessor(uint32_t id);
   /// One processor's events, as EventRefs (DecodedRefs or an IndexRun).
   template <class Refs>
   void observeSlice(const Refs& events);
-  Window* windowFor(uint64_t index, uint64_t watermark);
-  void countInto(Window* w, uint32_t processor, uint64_t events);
+  void noteHeartbeat(Processor& proc, uint16_t minor,
+                     std::span<const uint64_t> payload, uint64_t tick);
+  /// Makes window `index` the hot window (nullptr when it has aged out).
+  void selectWindow(uint64_t index, uint64_t watermark);
+  /// Counts `events` of `processor` into the hot window.
+  void countInto(uint32_t processor, uint64_t events);
+  /// countInto's slow path: finds or adds the processor's count slot.
+  void countIntoSlot(uint32_t processor, uint64_t events);
   void completeWindows(uint64_t watermark);
   void pruneHeartbeats();
   MonitorVars varsForWindow(const Window& w, uint64_t cumEvents) const;
@@ -154,13 +169,27 @@ class StreamEngine {
   std::vector<Fold*> mergedFolds_;        // declared order Merged
   std::vector<Fold*> perProcessorFolds_;  // declared order PerProcessor
   uint64_t mergedMajors_ = 0;
+  // [major]: the folds whose declared majors include it, in addFold order.
+  std::array<std::vector<Fold*>, kMaxMajors> foldsByMajor_;
 
   std::map<uint64_t, Window> windows_;
-  Window* hotWindow_ = nullptr;  // last window counted into; map nodes are
-                                 // stable, so valid until it ages out
   std::vector<Processor> processors_;  // ascending id
-  size_t hotProcessor_ = 0;            // index of the last one looked up
+  size_t hotProcessor_ = 0;            // index of the last one observed
   bool keepHeartbeats_ = false;        // windows and monitors are on
+
+  // What the last event touched, so the next one of the same processor
+  // and window costs O(1). The hot window (map nodes are stable, so valid
+  // until it ages out; nullptr for an aged-out index) covers the ticks
+  // [hotStart_, hotEnd_) — an empty range until the first event.
+  Window* hotWindow_ = nullptr;
+  uint64_t hotStart_ = 1;
+  uint64_t hotEnd_ = 0;
+  uint64_t* hotCount_ = nullptr;  // hot window's count of hotCountCpu_
+  uint32_t hotCountCpu_ = 0;
+  // The minimum last tick over every processor but the hot one: only the
+  // hot processor's events move last ticks, so it holds until another
+  // processor's events arrive.
+  uint64_t othersLastTick_ = 0;
 
   uint64_t watermark_ = 0;
   uint64_t eventsObserved_ = 0;

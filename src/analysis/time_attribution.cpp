@@ -25,6 +25,15 @@ struct CpuState {
   uint64_t ipcFuncId = 0;
   uint64_t ipcServerPid = ~0ull;
   uint64_t ipcStartTs = 0;
+  // The dispatched process's record (set whenever !idle; map nodes are
+  // stable) and its row for `syscall`, null until first touched.
+  ProcessAttribution* proc = nullptr;
+  SyscallStats* row = nullptr;
+
+  SyscallStats& syscallRow() {
+    if (row == nullptr) row = &proc->syscalls[syscall];
+    return *row;
+  }
 };
 
 }  // namespace
@@ -49,16 +58,15 @@ TimeAttribution::TimeAttribution(const TraceSet& trace) {
         if (cpu.idle || cpu.pid == ~0ull) {
           idlePerProcessor_[p] += delta;
         } else {
-          ProcessAttribution& proc = processes_[cpu.pid];
-          proc.pid = cpu.pid;
+          ProcessAttribution& proc = *cpu.proc;
           if (cpu.inIpc) {
             // Kernel/server time on this process's behalf.
             proc.exProcessTicks += delta;
-            if (cpu.inSyscall) proc.syscalls[cpu.syscall].ipcTicks += delta;
+            if (cpu.inSyscall) cpu.syscallRow().ipcTicks += delta;
           } else if (cpu.inPageFault) {
             proc.pageFaultTicks += delta;
           } else if (cpu.inSyscall) {
-            proc.syscalls[cpu.syscall].computeTicks += delta;
+            cpu.syscallRow().computeTicks += delta;
           } else if (cpu.inEmulation) {
             proc.emulationTicks += delta;
           } else {
@@ -71,7 +79,7 @@ TimeAttribution::TimeAttribution(const TraceSet& trace) {
 
       // Any event inside a syscall counts toward that syscall's events.
       if (!cpu.idle && cpu.pid != ~0ull && cpu.inSyscall) {
-        processes_[cpu.pid].syscalls[cpu.syscall].events += 1;
+        cpu.syscallRow().events += 1;
       }
 
       // 2. Update the state machine.
@@ -82,9 +90,10 @@ TimeAttribution::TimeAttribution(const TraceSet& trace) {
               if (!e.data.empty()) {
                 cpu.idle = false;
                 cpu.pid = e.data[0];
-                ProcessAttribution& proc = processes_[cpu.pid];
-                proc.pid = cpu.pid;
-                proc.dispatches += 1;
+                cpu.proc = &processes_[cpu.pid];
+                cpu.proc->pid = cpu.pid;
+                cpu.proc->dispatches += 1;
+                cpu.row = nullptr;
               }
               break;
             case ossim::SchedMinor::Preempt:
@@ -112,9 +121,8 @@ TimeAttribution::TimeAttribution(const TraceSet& trace) {
               if (e.data.size() >= 2 && !cpu.idle) {
                 cpu.inSyscall = true;
                 cpu.syscall = static_cast<uint16_t>(e.data[1]);
-                ProcessAttribution& proc = processes_[cpu.pid];
-                proc.pid = cpu.pid;
-                proc.syscalls[cpu.syscall].calls += 1;
+                cpu.row = &cpu.proc->syscalls[cpu.syscall];
+                cpu.row->calls += 1;
               }
               break;
             case ossim::LinuxMinor::SyscallExit:
@@ -134,9 +142,7 @@ TimeAttribution::TimeAttribution(const TraceSet& trace) {
             case ossim::ExcMinor::PgfltStart:
               if (!cpu.idle && cpu.pid != ~0ull) {
                 cpu.inPageFault = true;
-                ProcessAttribution& proc = processes_[cpu.pid];
-                proc.pid = cpu.pid;
-                proc.pageFaults += 1;
+                cpu.proc->pageFaults += 1;
               }
               break;
             case ossim::ExcMinor::PgfltDone:
@@ -146,10 +152,8 @@ TimeAttribution::TimeAttribution(const TraceSet& trace) {
               if (!cpu.idle && cpu.pid != ~0ull) {
                 cpu.inIpc = true;
                 cpu.ipcStartTs = e.fullTimestamp;
-                ProcessAttribution& proc = processes_[cpu.pid];
-                proc.pid = cpu.pid;
-                proc.exProcessCalls += 1;
-                if (cpu.inSyscall) proc.syscalls[cpu.syscall].ipcCalls += 1;
+                cpu.proc->exProcessCalls += 1;
+                if (cpu.inSyscall) cpu.syscallRow().ipcCalls += 1;
               }
               break;
             case ossim::ExcMinor::PpcReturn:

@@ -157,9 +157,49 @@ struct Heartbeat {
 /// True (and fills `out`) when an event of class (major, minor) with
 /// payload words `payload` is a well-formed heartbeat. Takes the payload
 /// as a span so an event read in place from its buffer parses without a
-/// copy.
-bool parseHeartbeat(Major major, uint16_t minor, std::span<const uint64_t> payload,
-                    Heartbeat& out) noexcept;
+/// copy. Defined here whole, so a caller's `Heartbeat hb; if
+/// (!parseHeartbeat(e, hb)) continue;` compiles to the class compare: the
+/// zeroing of `hb` is dead on the reject path only where the compiler sees
+/// both.
+inline bool parseHeartbeat(Major major, uint16_t minor,
+                           std::span<const uint64_t> payload,
+                           Heartbeat& out) noexcept {
+  // Accept the 11-word layout written before the sink/stale words existed,
+  // the 14-word one written before the recovery words, and the 16-word one
+  // written before the compression accounting (the missing fields stay
+  // zero), as well as the current 18-word layout.
+  if (major != Major::Monitor ||
+      minor != static_cast<uint16_t>(MonitorMinor::Heartbeat) ||
+      payload.size() < kHeartbeatPayloadWordsV1) {
+    return false;
+  }
+  out = Heartbeat{};
+  out.heartbeatSeq = payload[0];
+  out.bufferSeq = payload[1];
+  out.eventsLogged = payload[2];
+  out.wordsReserved = payload[3];
+  out.reserveRetries = payload[4];
+  out.slowPathEntries = payload[5];
+  out.eventsDropped = payload[6];
+  out.fillerWords = payload[7];
+  out.consumerBuffers = payload[8];
+  out.consumerLost = payload[9];
+  out.consumerMismatches = payload[10];
+  if (payload.size() >= kHeartbeatPayloadWordsV2) {
+    out.sinkDropped = payload[11];
+    out.sinkBackpressure = payload[12];
+    out.staleCommits = payload[13];
+  }
+  if (payload.size() >= kHeartbeatPayloadWordsV3) {
+    out.reclaimedWords = payload[14];
+    out.tornBuffers = payload[15];
+  }
+  if (payload.size() >= kHeartbeatPayloadWords) {
+    out.sinkBytesWritten = payload[16];
+    out.sinkRawBytes = payload[17];
+  }
+  return true;
+}
 
 /// The same, for a decoded event.
 inline bool parseHeartbeat(const DecodedEvent& event, Heartbeat& out) noexcept {

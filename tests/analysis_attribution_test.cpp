@@ -3,6 +3,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <tuple>
+#include <vector>
+
 #include "ossim/machine.hpp"
 #include "sim_support.hpp"
 
@@ -142,6 +146,121 @@ TEST_F(AttributionFixture, UnknownPidReportsNoEvents) {
   EXPECT_EQ(ta.process(1234), nullptr);
   SymbolTable symbols;
   EXPECT_NE(ta.report(1234, symbols, 1e9).find("(no events)"), std::string::npos);
+}
+
+TEST(AttributionPinned, EveryBucketOfAHandBuiltTwoProcessorStream) {
+  constexpr uint64_t kA = 11, kB = 12, kC = 13, kServer = 40;
+  constexpr auto kRead = static_cast<uint16_t>(ossim::Syscall::Read);
+  constexpr auto kWrite = static_cast<uint16_t>(ossim::Syscall::Write);
+  constexpr auto kOpen = static_cast<uint16_t>(ossim::Syscall::Open);
+  constexpr auto kStat = static_cast<uint16_t>(ossim::Syscall::Stat);
+  constexpr uint16_t kPreempt = static_cast<uint16_t>(ossim::SchedMinor::Preempt);
+  constexpr uint16_t kSample = static_cast<uint16_t>(ossim::ProfMinor::PcSample);
+  SimHarness hx{2, 512, 64};
+  const auto logAt = [&hx](uint32_t p, uint64_t at, Major major, uint16_t minor,
+                           std::initializer_list<uint64_t> words) {
+    hx.bootClock.set(at);
+    logEventData(hx.facility.control(p), major, minor,
+                 std::span<const uint64_t>(words.begin(), words.size()));
+  };
+  // Processor 0: A runs, syscalls with an IPC inside, faults, emulates, is
+  // preempted inside a syscall and dispatched again, then goes idle inside
+  // a syscall; B is dispatched with the syscall flag still set and ends
+  // the stream entering a syscall.
+  logAt(0, 0, Major::Sched, kDispatch, {kA, 1});
+  logAt(0, 10, Major::Linux, kScEnter, {kA, kRead});
+  logAt(0, 30, Major::Exception, kPpcCall, {0});
+  logAt(0, 30, Major::Ipc, kIpcCall, {kA, kServer, 1001});
+  logAt(0, 100, Major::Exception, kPpcReturn, {0});
+  logAt(0, 120, Major::Linux, kScExit, {kA, kRead});
+  logAt(0, 150, Major::Exception, kFltStart, {kA, 0x1000, 0});
+  logAt(0, 190, Major::Exception, kFltDone, {kA, 0x1000});
+  logAt(0, 200, Major::Linux, kEmuEnter, {kA});
+  logAt(0, 260, Major::Linux, kEmuExit, {kA});
+  logAt(0, 270, Major::Linux, kScEnter, {kA, kWrite});
+  logAt(0, 300, Major::Sched, kPreempt, {kA, 1});
+  logAt(0, 320, Major::Sched, kDispatch, {kA, 1});
+  logAt(0, 330, Major::Linux, kScEnter, {kA, kOpen});
+  logAt(0, 350, Major::Sched, kIdle, {});
+  logAt(0, 380, Major::Sched, kDispatch, {kB, 2});
+  logAt(0, 400, Major::Prof, kSample, {kB, 5});
+  logAt(0, 420, Major::Linux, kScExit, {kB, kOpen});
+  logAt(0, 450, Major::Linux, kScEnter, {kB, kStat});
+  // Processor 1: C's syscall with an IPC inside, then exit and idle.
+  logAt(1, 5, Major::Sched, kDispatch, {kC, 3});
+  logAt(1, 25, Major::Linux, kScEnter, {kC, kRead});
+  logAt(1, 65, Major::Exception, kPpcCall, {0});
+  logAt(1, 65, Major::Ipc, kIpcCall, {kC, kServer, 1002});
+  logAt(1, 85, Major::Exception, kPpcReturn, {0});
+  logAt(1, 95, Major::Linux, kScExit, {kC, kRead});
+  logAt(1, 135, Major::Sched, kThreadExit, {kC, 3});
+  logAt(1, 175, Major::Sched, kIdle, {});
+
+  const auto trace = hx.collect();
+  const TimeAttribution ta(trace);
+  EXPECT_EQ(ta.pids(), (std::vector<uint64_t>{kA, kB, kC}));
+  EXPECT_EQ(ta.idleTicks(0), 20u + 30u);
+  EXPECT_EQ(ta.idleTicks(1), 40u);
+  EXPECT_EQ(ta.totalIdleTicks(), 90u);
+
+  using Row = std::tuple<uint64_t, uint64_t, uint64_t, uint64_t, uint64_t>;
+  const auto rows = [&ta](uint64_t pid) {
+    std::map<uint16_t, Row> out;
+    for (const auto& [id, sc] : ta.process(pid)->syscalls) {
+      out[id] = {sc.computeTicks, sc.calls, sc.events, sc.ipcTicks, sc.ipcCalls};
+    }
+    return out;
+  };
+  const ProcessAttribution* a = ta.process(kA);
+  ASSERT_NE(a, nullptr);
+  EXPECT_EQ(a->userTicks, 10u + 30u + 10u + 10u + 10u);
+  EXPECT_EQ(a->emulationTicks, 60u);
+  EXPECT_EQ(a->pageFaultTicks, 40u);
+  EXPECT_EQ(a->pageFaults, 1u);
+  EXPECT_EQ(a->exProcessTicks, 70u);
+  EXPECT_EQ(a->exProcessCalls, 1u);
+  EXPECT_EQ(a->dispatches, 2u);
+  // (compute, calls, events, ipc ticks, ipc calls). Read's events: the
+  // PPC call, the IPC call, the PPC return and the exit; Write's: the
+  // preemption; Open's: the idle event.
+  EXPECT_EQ(rows(kA), (std::map<uint16_t, Row>{{kRead, {40, 1, 4, 70, 1}},
+                                               {kWrite, {30, 1, 1, 0, 0}},
+                                               {kOpen, {20, 1, 1, 0, 0}}}));
+
+  const ProcessAttribution* b = ta.process(kB);
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->userTicks, 30u);
+  EXPECT_EQ(b->emulationTicks + b->pageFaultTicks + b->exProcessTicks, 0u);
+  EXPECT_EQ(b->dispatches, 1u);
+  // Open was entered by A; B, dispatched with the flag still set, is
+  // charged its time and events but no call. Stat is entered last.
+  EXPECT_EQ(rows(kB), (std::map<uint16_t, Row>{{kOpen, {40, 0, 2, 0, 0}},
+                                               {kStat, {0, 1, 0, 0, 0}}}));
+
+  const ProcessAttribution* c = ta.process(kC);
+  ASSERT_NE(c, nullptr);
+  EXPECT_EQ(c->userTicks, 20u + 40u);
+  EXPECT_EQ(c->exProcessTicks, 20u);
+  EXPECT_EQ(c->exProcessCalls, 1u);
+  EXPECT_EQ(c->dispatches, 1u);
+  EXPECT_EQ(rows(kC), (std::map<uint16_t, Row>{{kRead, {50, 1, 4, 20, 1}}}));
+
+  for (const uint64_t pid : ta.pids()) {
+    for (const auto& [id, sc] : ta.process(pid)->syscalls) {
+      EXPECT_NE(sc.computeTicks + sc.calls + sc.events + sc.ipcTicks + sc.ipcCalls, 0u)
+          << "all-zero row: pid " << pid << " syscall " << id;
+    }
+  }
+
+  ASSERT_EQ(ta.serviceEntries().size(), 2u);
+  EXPECT_EQ(ta.serviceEntries()[0].serverPid, kServer);
+  EXPECT_EQ(ta.serviceEntries()[0].funcId, 1001u);
+  EXPECT_EQ(ta.serviceEntries()[0].calls, 1u);
+  EXPECT_EQ(ta.serviceEntries()[0].ticks, 70u);
+  EXPECT_EQ(ta.serviceEntries()[1].serverPid, kServer);
+  EXPECT_EQ(ta.serviceEntries()[1].funcId, 1002u);
+  EXPECT_EQ(ta.serviceEntries()[1].calls, 1u);
+  EXPECT_EQ(ta.serviceEntries()[1].ticks, 20u);
 }
 
 TEST(AttributionIntegration, SimulatorTimesAddUp) {

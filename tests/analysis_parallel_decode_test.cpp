@@ -1,7 +1,7 @@
 // Parallel zero-copy ingestion: TraceSet::fromFiles must produce
 // bit-identical results for every (thread count, mmap on/off)
 // combination — including over damaged files in salvage mode — and the
-// streaming MergeCursor must agree with the materialized merged() order.
+// streaming MergeCursor must agree with the reference merge.
 #include "analysis/reader.hpp"
 
 #include <gtest/gtest.h>
@@ -185,16 +185,16 @@ TEST_F(ParallelDecodeTest, MetadataTakenFromFirstFileAndMismatchesCounted) {
   }
 }
 
-TEST_F(ParallelDecodeTest, MergeCursorMatchesMergedAndStreamsInOrder) {
+TEST_F(ParallelDecodeTest, MergeCursorMatchesReferenceAndStreamsInOrder) {
   const auto paths = writeTrace(/*procs=*/3, /*eventsPerProcessor=*/200);
   const TraceSet trace = TraceSet::fromFiles(paths);
-  const auto merged = trace.merged();
+  const auto merged = ktrace::testing::referenceMerge(trace);
   MergeCursor cursor(trace);
   size_t i = 0;
   uint64_t lastTs = 0;
   while (const DecodedEvent* e = cursor.next()) {
     ASSERT_LT(i, merged.size());
-    EXPECT_EQ(e, merged[i]) << "cursor and merged() disagree at " << i;
+    EXPECT_EQ(e, merged[i]) << "cursor and reference merge disagree at " << i;
     EXPECT_GE(e->fullTimestamp, lastTs);
     lastTs = e->fullTimestamp;
     ++i;

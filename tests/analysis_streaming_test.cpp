@@ -1,7 +1,7 @@
 // Streaming analysis end to end (DESIGN.md §13): the derived-monitor
 // expression language, the windowed StreamEngine, the OrderedMerger's
 // watermark holdback, and — the load-bearing claims — that a StreamCursor
-// over closed files replays MergeCursor's exact order, that the four
+// over closed files replays the reference merge's exact order, that the four
 // post-hoc analyses built from folds are byte-identical to their TraceSet
 // constructors, and that a StreamCursor tailing a *growing* file decodes
 // each record exactly once across flushes and resumes from a saved cursor.
@@ -28,6 +28,7 @@
 #include "analysis/streaming/stream_cursor.hpp"
 #include "core/ktrace.hpp"
 #include "ossim/machine.hpp"
+#include "test_support.hpp"
 #include "workload/sdet.hpp"
 
 namespace ktrace {
@@ -253,9 +254,9 @@ TEST(StreamEngineTest, WindowingDisabledEmitsOnlyTopLine) {
 
 TEST(OrderedMergerTest, ReleasesInMergedOrderWithHoldback) {
   streaming::OrderedMerger merger(2);
-  merger.push(0, makeEvent(0, 10));
-  merger.push(0, makeEvent(0, 30));
-  merger.push(1, makeEvent(1, 20));
+  merger.push(0, {makeEvent(0, 10)});
+  merger.push(0, {makeEvent(0, 30)});
+  merger.push(1, {makeEvent(1, 20)});
 
   const DecodedEvent* e = merger.next();
   ASSERT_NE(e, nullptr);
@@ -277,8 +278,8 @@ TEST(OrderedMergerTest, ReleasesInMergedOrderWithHoldback) {
 
 TEST(OrderedMergerTest, TimestampTiesBreakOnProcessor) {
   streaming::OrderedMerger merger(2);
-  merger.push(1, makeEvent(7, 10));
-  merger.push(0, makeEvent(3, 10));
+  merger.push(1, {makeEvent(7, 10)});
+  merger.push(0, {makeEvent(3, 10)});
   merger.finish();
   const DecodedEvent* e = merger.next();
   ASSERT_NE(e, nullptr);
@@ -348,16 +349,16 @@ class StreamingTraceTest : public ::testing::Test {
   analysis::SymbolTable symbols_;
 };
 
-TEST_F(StreamingTraceTest, StreamCursorReplaysMergeCursorOrder) {
+TEST_F(StreamingTraceTest, StreamCursorReplaysReferenceOrder) {
   const auto trace = analysis::TraceSet::fromFiles(paths_);
-  analysis::MergeCursor merged(trace);
+  const auto merged = testing::referenceMerge(trace);
 
   streaming::StreamCursor cursor(paths_);
   cursor.finish();
 
   uint64_t count = 0;
   for (;;) {
-    const DecodedEvent* a = merged.next();
+    const DecodedEvent* a = count < merged.size() ? merged[count] : nullptr;
     const DecodedEvent* b = cursor.next();
     ASSERT_EQ(a == nullptr, b == nullptr) << "length mismatch at " << count;
     if (a == nullptr) break;

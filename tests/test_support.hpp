@@ -2,11 +2,48 @@
 #pragma once
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "core/ktrace.hpp"
 
 namespace ktrace::testing {
+
+/// The reference merge the merging cursors are checked against: repeatedly
+/// takes the lane whose front event has the smallest (fullTimestamp,
+/// processor), the lower lane on a tie. Not a sort of all events: a lane
+/// whose timestamps step backwards keeps its own order.
+inline std::vector<const DecodedEvent*> referenceMerge(
+    const std::vector<std::span<const DecodedEvent>>& lanes) {
+  std::vector<size_t> next(lanes.size(), 0);
+  std::vector<const DecodedEvent*> out;
+  for (;;) {
+    const DecodedEvent* best = nullptr;
+    size_t bestLane = 0;
+    for (size_t l = 0; l < lanes.size(); ++l) {
+      if (next[l] == lanes[l].size()) continue;
+      const DecodedEvent& e = lanes[l][next[l]];
+      if (best == nullptr || e.fullTimestamp < best->fullTimestamp ||
+          (e.fullTimestamp == best->fullTimestamp && e.processor < best->processor)) {
+        best = &e;
+        bestLane = l;
+      }
+    }
+    if (best == nullptr) return out;
+    out.push_back(best);
+    ++next[bestLane];
+  }
+}
+
+/// referenceMerge over a TraceSet's per-processor events.
+template <class Trace>
+std::vector<const DecodedEvent*> referenceMerge(const Trace& trace) {
+  std::vector<std::span<const DecodedEvent>> lanes;
+  for (uint32_t p = 0; p < trace.numProcessors(); ++p) {
+    lanes.emplace_back(trace.processorEvents(p));
+  }
+  return referenceMerge(lanes);
+}
 
 /// A facility driven by a FakeClock, one tick per reading.
 struct FakeFacility {

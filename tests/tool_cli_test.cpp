@@ -10,6 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/ktrace.hpp"
 #include "ossim/machine.hpp"
@@ -227,6 +230,54 @@ TEST_F(ToolCliTest, FsckReportsCleanTrace) {
   EXPECT_NE(out.find("good record"), std::string::npos);
   EXPECT_NE(out.find("format v3"), std::string::npos);
   EXPECT_EQ(out.find("CORRUPT"), std::string::npos);
+}
+
+TEST_F(ToolCliTest, EveryReportIsIdenticalRawAndLzAtOneAndFourThreads) {
+  // One small recorded 4-cpu SDET run, written raw and compressed. Each
+  // report prints the same text over either file set at 1 and 4 decode
+  // threads once the set's own path is taken out (profile's header and
+  // fsck's lines name the files).
+  std::string out;
+  std::vector<std::pair<std::string, std::string>> sets;  // (prefix, files)
+  for (const bool compress : {false, true}) {
+    const std::string prefix = (dir_ / (compress ? "lz" : "raw")).string();
+    ASSERT_EQ(runTool("record " + prefix +
+                          " --cpus=4 --scripts=4 --commands=4 "
+                          "--heartbeat-ns=50000 --buffer-words=256" +
+                          (compress ? " --compress" : ""),
+                      out),
+              0);
+    std::string files;
+    std::istringstream lines(out);
+    for (std::string line; std::getline(lines, line);) files += " " + line;
+    sets.emplace_back(prefix, files);
+  }
+  EXPECT_LT(std::filesystem::file_size(sets[1].first + ".cpu0.ktrc"),
+            std::filesystem::file_size(sets[0].first + ".cpu0.ktrc"));
+
+  const char* const reports[] = {
+      "top --json", "top --json --window-ms=1", "locks", "stats", "profile",
+      "attrib", "monitor", "list", "ltt", "csv", "deadlock", "intervals",
+      "fsck"};
+  for (const char* report : reports) {
+    std::string first;
+    for (const auto& [prefix, files] : sets) {
+      for (const char* threads : {" --threads=1", " --threads=4"}) {
+        EXPECT_EQ(runTool(report + files + threads, out), 0)
+            << report << files << threads;
+        for (size_t at = out.find(prefix); at != std::string::npos;
+             at = out.find(prefix, at)) {
+          out.replace(at, prefix.size(), "<set>");
+        }
+        if (first.empty()) {
+          first = out;
+          EXPECT_FALSE(first.empty()) << report;
+        } else {
+          EXPECT_EQ(out, first) << report << files << threads;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(ToolCliTest, FsckFlagsCorruptionAndSalvageRecovers) {

@@ -749,8 +749,15 @@ int runRecord(const std::string& outPrefix, const util::Cli& cli) {
   TraceWriterOptions writerOptions;
   writerOptions.compress = cli.getBool("compress", false);
   FileSink sink(directory, baseName, meta, nullptr, writerOptions);
-  for (const BufferRecord& record : artifacts.records) {
-    sink.onBuffer(BufferRecord(record));
+  // Eight records at a time, as ktraced's BatchingSink hands them over: a
+  // FileSink compresses batches, so --compress writes the daemon's blocks.
+  constexpr size_t kBatchRecords = 8;
+  const std::vector<BufferRecord>& records = artifacts.records;
+  for (size_t i = 0; i < records.size(); i += kBatchRecords) {
+    const auto first = records.begin() + static_cast<ptrdiff_t>(i);
+    sink.onBufferBatch(std::vector<BufferRecord>(
+        first, first + static_cast<ptrdiff_t>(
+                           std::min(kBatchRecords, records.size() - i))));
   }
   if (!sink.flush()) {
     std::fprintf(stderr, "record: write failed: %s\n",
