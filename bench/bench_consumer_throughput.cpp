@@ -25,12 +25,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "core/batching_sink.hpp"
 #include "core/ktrace.hpp"
 #include "util/cli.hpp"
@@ -188,41 +187,29 @@ int main(int argc, char** argv) {
               best->shards, best->batch, best->mbPerS,
               static_cast<unsigned long long>(best->lost));
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"consumer_throughput\",\n";
-  json << "  \"host_threads\": " << util::ThreadPool::hardwareThreads() << ",\n";
-  json << "  \"procs\": " << cfg.procs << ",\n";
-  json << "  \"buffer_bytes\": " << cfg.bufferWords * 8 << ",\n";
-  json << "  \"events_per_producer\": " << cfg.events << ",\n";
-  json << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "    {\"shards\": %u, \"batch\": %zu, \"seconds\": %.6f, "
-                  "\"buffers\": %llu, \"lost\": %llu, \"sink_dropped\": %llu, "
-                  "\"mb_per_s\": %.1f}%s\n",
-                  r.shards, r.batch, r.seconds,
-                  static_cast<unsigned long long>(r.consumed),
-                  static_cast<unsigned long long>(r.lost),
-                  static_cast<unsigned long long>(r.sinkDropped), r.mbPerS,
-                  i + 1 < rows.size() ? "," : "");
-    json << line;
+  std::vector<bench::JsonObject> results;
+  for (const Row& r : rows) {
+    results.push_back(bench::JsonObject()
+                          .add("shards", r.shards)
+                          .add("batch", r.batch)
+                          .add("seconds", r.seconds, 6)
+                          .add("buffers", r.consumed)
+                          .add("lost", r.lost)
+                          .add("sink_dropped", r.sinkDropped)
+                          .add("mb_per_s", r.mbPerS, 1));
   }
-  char tail[256];
-  std::snprintf(tail, sizeof(tail),
-                "  ],\n  \"serial_mb_per_s\": %.1f,\n"
-                "  \"best_mb_per_s\": %.1f,\n"
-                "  \"best_shards\": %u,\n  \"best_batch\": %zu,\n"
-                "  \"best_speedup_vs_serial\": %.3f\n}\n",
-                serial.mbPerS, best->mbPerS, best->shards, best->batch,
-                best->mbPerS / serial.mbPerS);
-  json << tail;
-
-  std::fputs(json.str().c_str(), stdout);
-  if (!cfg.out.empty()) {
-    std::ofstream(cfg.out) << json.str();
-    std::fprintf(stderr, "wrote %s\n", cfg.out.c_str());
-  }
+  bench::writeBenchJson(bench::JsonObject()
+                            .add("bench", "consumer_throughput")
+                            .add("host_threads", util::ThreadPool::hardwareThreads())
+                            .add("procs", cfg.procs)
+                            .add("buffer_bytes", cfg.bufferWords * 8)
+                            .add("events_per_producer", cfg.events)
+                            .add("results", results)
+                            .add("serial_mb_per_s", serial.mbPerS, 1)
+                            .add("best_mb_per_s", best->mbPerS, 1)
+                            .add("best_shards", best->shards)
+                            .add("best_batch", best->batch)
+                            .add("best_speedup_vs_serial", best->mbPerS / serial.mbPerS, 3),
+                        cfg.out);
   return 0;
 }

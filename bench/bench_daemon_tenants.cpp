@@ -51,13 +51,12 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench_json.hpp"
 #include "analysis/streaming/monitors.hpp"
 #include "core/shm_session.hpp"
 #include "daemon/daemon.hpp"
@@ -326,9 +325,8 @@ std::filesystem::path scratchRoot(uint64_t bytes, bool& tmpfs) {
                : std::filesystem::temp_directory_path();
 }
 
-std::string spreadJson(const Spread& s) {
-  return util::strprintf("{\"median\": %.1f, \"min\": %.1f, \"max\": %.1f}",
-                         s.median, s.min, s.max);
+bench::JsonObject spreadJson(const Spread& s) {
+  return bench::JsonObject().add("median", s.median, 1).add("min", s.min, 1).add("max", s.max, 1);
 }
 
 }  // namespace
@@ -411,36 +409,31 @@ int main(int argc, char** argv) {
               cpus.size(), parallelism, static_cast<unsigned long long>(cfg.events),
               100 * kLockShare, cfg.reps, tmpfs ? "tmpfs" : dir.parent_path().c_str());
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"daemon_tenants\",\n";
-  json << "  \"host_threads\": " << util::ThreadPool::hardwareThreads() << ",\n";
-  json << "  \"pinned_cpus\": " << cpus.size() << ",\n";
-  json << util::strprintf("  \"effective_parallelism\": %.2f,\n", parallelism);
-  json << "  \"quick\": " << (cfg.quick ? "true" : "false") << ",\n";
-  json << "  \"events_per_tenant\": " << cfg.events << ",\n";
-  json << util::strprintf("  \"lock_share\": %.3f,\n", kLockShare);
-  json << "  \"buffer_bytes\": " << cfg.bufferWords * 8 << ",\n";
-  json << "  \"ring_buffers\": " << cfg.buffers << ",\n";
-  json << "  \"tap\": \"100 ms windows, default monitors\",\n";
-  json << "  \"files_on_tmpfs\": " << (tmpfs ? "true" : "false") << ",\n";
-  json << "  \"reps\": " << cfg.reps << ",\n";
-  json << "  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    json << util::strprintf(
-        "    {\"tenants\": %u, \"threads\": %u, \"buffers\": %llu, "
-        "\"tap_on_mb_per_s\": %s, \"tap_off_mb_per_s\": %s, "
-        "\"on_off_ratio\": %.3f}%s\n",
-        r.tenants, r.threads, static_cast<unsigned long long>(r.buffers),
-        spreadJson(r.tapOn).c_str(), spreadJson(r.tapOff).c_str(), r.ratio,
-        i + 1 < rows.size() ? "," : "");
+  std::vector<bench::JsonObject> results;
+  for (const Row& r : rows) {
+    results.push_back(bench::JsonObject()
+                          .add("tenants", r.tenants)
+                          .add("threads", r.threads)
+                          .add("buffers", r.buffers)
+                          .add("tap_on_mb_per_s", spreadJson(r.tapOn))
+                          .add("tap_off_mb_per_s", spreadJson(r.tapOff))
+                          .add("on_off_ratio", r.ratio, 3));
   }
-  json << "  ]\n}\n";
-  std::fputs(json.str().c_str(), stdout);
-  if (!cfg.out.empty()) {
-    std::ofstream(cfg.out) << json.str();
-    std::fprintf(stderr, "wrote %s\n", cfg.out.c_str());
-  }
+  bench::writeBenchJson(bench::JsonObject()
+                            .add("bench", "daemon_tenants")
+                            .add("host_threads", util::ThreadPool::hardwareThreads())
+                            .add("pinned_cpus", cpus.size())
+                            .add("effective_parallelism", parallelism, 2)
+                            .add("quick", cfg.quick)
+                            .add("events_per_tenant", cfg.events)
+                            .add("lock_share", kLockShare, 3)
+                            .add("buffer_bytes", cfg.bufferWords * 8)
+                            .add("ring_buffers", cfg.buffers)
+                            .add("tap", "100 ms windows, default monitors")
+                            .add("files_on_tmpfs", tmpfs)
+                            .add("reps", cfg.reps)
+                            .add("results", results),
+                        cfg.out);
 
   if (cfg.quick) {
     const double ratio = rows.front().ratio;

@@ -30,12 +30,11 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "analysis/reader.hpp"
+#include "bench_json.hpp"
 #include "core/batching_sink.hpp"
 #include "core/ktrace.hpp"
 #include "util/cli.hpp"
@@ -230,50 +229,37 @@ int main(int argc, char** argv) {
   const double mbPerSBest = static_cast<double>(rawBytes) / bestRawSeconds / 1e6;
   const double eventsPerSBest = static_cast<double>(events) / bestRawSeconds;
 
-  std::ostringstream json;
-  json << "{\n  \"bench\": \"decode_scalability\",\n";
-  json << "  \"quick\": " << (cfg.quick ? "true" : "false") << ",\n";
-  json << "  \"host_threads\": " << util::ThreadPool::hardwareThreads() << ",\n";
-  json << "  \"files\": " << rawPaths.size() << ",\n";
-  json << "  \"bytes\": " << rawBytes << ",\n";
-  json << "  \"compressed_bytes\": " << zBytes << ",\n";
-  char ratio[64];
-  std::snprintf(ratio, sizeof(ratio), "%.3f",
-                zBytes != 0 ? static_cast<double>(rawBytes) / zBytes : 0.0);
-  json << "  \"compression_ratio\": " << ratio << ",\n";
-  json << "  \"events\": " << events << ",\n";
-  json << "  \"identical_across_configs\": " << (identical ? "true" : "false")
-       << ",\n  \"results\": [\n";
-  for (size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
+  std::vector<bench::JsonObject> results;
+  for (const Row& r : rows) {
     const uint64_t setBytes = r.compressed ? zBytes : rawBytes;
-    char line[320];
-    std::snprintf(
-        line, sizeof(line),
-        "    {\"compressed\": %s, \"threads\": %u, \"mmap\": %s, "
-        "\"seconds\": %.6f, \"mb_per_s\": %.1f, \"events_per_s\": %.0f, "
-        "\"speedup_vs_1t\": %.3f}%s\n",
-        r.compressed ? "true" : "false", r.threads, r.mmapOn ? "true" : "false",
-        r.seconds, static_cast<double>(setBytes) / r.seconds / 1e6,
-        static_cast<double>(events) / r.seconds,
-        findRow(r.compressed, 1, r.mmapOn).seconds / r.cumBest,
-        i + 1 < rows.size() ? "," : "");
-    json << line;
+    results.push_back(
+        bench::JsonObject()
+            .add("compressed", r.compressed)
+            .add("threads", r.threads)
+            .add("mmap", r.mmapOn)
+            .add("seconds", r.seconds, 6)
+            .add("mb_per_s", static_cast<double>(setBytes) / r.seconds / 1e6, 1)
+            .add("events_per_s", static_cast<double>(events) / r.seconds, 0)
+            .add("speedup_vs_1t", findRow(r.compressed, 1, r.mmapOn).seconds / r.cumBest, 3));
   }
-  char tail[256];
-  std::snprintf(tail, sizeof(tail),
-                "  ],\n  \"mb_per_s_best\": %.1f,\n"
-                "  \"events_per_s_best\": %.0f,\n"
-                "  \"speedup_4t_vs_1t_mmap\": %.3f,\n"
-                "  \"mmap_speedup_vs_stdio_1t\": %.3f\n}\n",
-                mbPerSBest, eventsPerSBest, speedup4t, mmapGain);
-  json << tail;
-
-  std::fputs(json.str().c_str(), stdout);
-  if (!cfg.out.empty()) {
-    std::ofstream(cfg.out) << json.str();
-    std::fprintf(stderr, "wrote %s\n", cfg.out.c_str());
-  }
+  bench::writeBenchJson(
+      bench::JsonObject()
+          .add("bench", "decode_scalability")
+          .add("quick", cfg.quick)
+          .add("host_threads", util::ThreadPool::hardwareThreads())
+          .add("files", rawPaths.size())
+          .add("bytes", rawBytes)
+          .add("compressed_bytes", zBytes)
+          .add("compression_ratio",
+               zBytes != 0 ? static_cast<double>(rawBytes) / zBytes : 0.0, 3)
+          .add("events", events)
+          .add("identical_across_configs", identical)
+          .add("results", results)
+          .add("mb_per_s_best", mbPerSBest, 1)
+          .add("events_per_s_best", eventsPerSBest, 0)
+          .add("speedup_4t_vs_1t_mmap", speedup4t, 3)
+          .add("mmap_speedup_vs_stdio_1t", mmapGain, 3),
+      cfg.out);
   if (!identical) {
     std::fprintf(stderr, "FAIL: decode results differ across configurations\n");
     return 1;

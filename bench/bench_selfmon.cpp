@@ -21,8 +21,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <fstream>
 
+#include "bench_json.hpp"
 #include "core/ktrace.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -159,28 +159,23 @@ int main(int argc, char** argv) {
               pass ? "PASS" : "FAIL");
   (void)sink;
 
-  const std::string json = util::strprintf(
-      "{\n"
-      "  \"bench\": \"selfmon\",\n"
-      "  \"host_threads\": %u,\n"
-      "  \"events_per_rep\": %llu,\n"
-      "  \"reps\": %d,\n"
-      "  \"ns_per_event_monitoring_off\": %.3f,\n"
-      "  \"ns_per_event_monitoring_on\": %.3f,\n"
-      "  \"counter_overhead_ns_per_event\": %.3f,\n"
-      "  \"snapshot_ns\": %.1f,\n"
-      "  \"heartbeat_ns\": %.1f,\n"
-      "  \"ns_per_event_shm_plain\": %.3f,\n"
-      "  \"ns_per_event_shm_leased\": %.3f,\n"
-      "  \"lease_heartbeat_overhead_ns_per_event\": %.3f,\n"
-      "  \"shm_minus_inprocess_ns_per_event\": %.3f,\n"
-      "  \"acceptance_limit_ns\": 5.0,\n"
-      "  \"pass\": %s\n"
-      "}\n",
-      util::ThreadPool::hardwareThreads(), static_cast<unsigned long long>(kIters),
-      kReps, offNs, onNs, overhead, snapshotNs, heartbeatNs, plainNs, leasedNs,
-      leaseOverhead, shmGap, pass ? "true" : "false");
-  std::fputs(json.c_str(), stdout);
-  if (!out.empty()) std::ofstream(out) << json;
+  bench::writeBenchJson(
+      bench::JsonObject()
+          .add("bench", "selfmon")
+          .add("host_threads", util::ThreadPool::hardwareThreads())
+          .add("events_per_rep", kIters)
+          .add("reps", kReps)
+          .add("ns_per_event_monitoring_off", offNs, 3)
+          .add("ns_per_event_monitoring_on", onNs, 3)
+          .add("counter_overhead_ns_per_event", overhead, 3)
+          .add("snapshot_ns", snapshotNs, 1)
+          .add("heartbeat_ns", heartbeatNs, 1)
+          .add("ns_per_event_shm_plain", plainNs, 3)
+          .add("ns_per_event_shm_leased", leasedNs, 3)
+          .add("lease_heartbeat_overhead_ns_per_event", leaseOverhead, 3)
+          .add("shm_minus_inprocess_ns_per_event", shmGap, 3)
+          .add("acceptance_limit_ns", 5.0, 1)
+          .add("pass", pass),
+      out);
   return 0;
 }

@@ -19,9 +19,11 @@
 //               processor's whole backlog in turn (how SessionWatchdog
 //               drains under backpressure);
 //   engine 0/1/8  the full StreamEngine (both planes + the four shipped
-//               folds) over an in-memory merged stream, event by event,
-//               with 0, 1 and 8 derived monitors and a snapshot every
-//               64 Ki events — the rate as a function of monitor count.
+//               folds) over an in-memory merged stream — a TraceSet's
+//               events in MergeCursor order, kept as pointers and replayed
+//               event by event — with 0, 1 and 8 derived monitors and a
+//               snapshot every 64 Ki events: the rate as a function of
+//               monitor count.
 //
 // Monitor evaluation is lazy (snapshot-time), so the 0->8 delta isolates
 // exactly what a user's config costs. Prints a JSON object last; with
@@ -30,7 +32,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <vector>
 
 #include "analysis/reader.hpp"
@@ -40,6 +41,7 @@
 #include "analysis/streaming/monitors.hpp"
 #include "analysis/streaming/stream_cursor.hpp"
 #include "analysis/symbols.hpp"
+#include "bench_json.hpp"
 #include "core/ktrace.hpp"
 #include "ossim/machine.hpp"
 #include "util/cli.hpp"
@@ -76,7 +78,7 @@ struct EngineRun {
   double eventsPerSec = 0;
 };
 
-EngineRun runEngine(std::vector<DecodedEvent>& events, uint64_t span,
+EngineRun runEngine(const std::vector<const DecodedEvent*>& events, uint64_t span,
                     uint32_t numProcessors, size_t replicas,
                     std::vector<streaming::DerivedMonitor> monitors) {
   EngineRun run;
@@ -95,10 +97,13 @@ EngineRun runEngine(std::vector<DecodedEvent>& events, uint64_t span,
   size_t snapshotBytes = 0;
   const double start = nowNs();
   for (size_t r = 0; r < replicas; ++r) {
-    for (DecodedEvent& e : events) {
+    for (const DecodedEvent* p : events) {
       // Each pass shifts the replica forward by the stream's span, so the
-      // engine sees one long monotonically advancing session.
-      e.fullTimestamp += span;
+      // engine sees one long monotonically advancing session: a view of
+      // the event, its payload still the TraceSet's.
+      const DecodedEvent e(p->header, p->data.data(), p->data.size(),
+                           p->fullTimestamp + (r + 1) * span, p->bufferSeq,
+                           p->offsetInBuffer, p->processor);
       engine.observe(e);
       engine.onOrdered(e);
       if (++sinceSnapshot == kSnapshotEvery) {
@@ -310,16 +315,17 @@ int main(int argc, char** argv) {
               tapInterleaved / 1e6, tapBacklog / 1e6, interleaved.size(),
               tapPasses);
 
-  // Materialize the merged stream once; engine passes replay it.
-  std::vector<DecodedEvent> events;
-  events.reserve(baseEvents);
+  // Merge once; engine passes replay the merged order over the events
+  // the TraceSet keeps.
+  const analysis::TraceSet trace = analysis::TraceSet::fromFiles(paths);
+  std::vector<const DecodedEvent*> events;
+  events.reserve(trace.totalEvents());
   uint64_t span = 0;
   {
-    streaming::StreamCursor cursor(paths);
-    cursor.finish();
+    analysis::MergeCursor cursor(trace);
     while (const DecodedEvent* e = cursor.next()) {
       span = std::max(span, e->fullTimestamp + 1);
-      events.push_back(*e);
+      events.push_back(e);
     }
   }
   const size_t replicas =
@@ -357,38 +363,28 @@ int main(int argc, char** argv) {
   }
   std::printf("\n%s", table.render().c_str());
 
-  const std::string json = util::strprintf(
-      "{\n"
-      "  \"bench\": \"streaming\",\n"
-      "  \"host_threads\": %u,\n"
-      "  \"buffer_words\": %u,\n"
-      "  \"base_events\": %llu,\n"
-      "  \"replicas\": %zu,\n"
-      "  \"window_ms\": 0.05,\n"
-      "  \"snapshot_every_events\": 65536,\n"
-      "  \"cursor_events_per_sec\": %.0f,\n"
-      "  \"cursor_target_events_per_sec\": %.0f,\n"
-      "  \"cursor_meets_target\": %s,\n"
-      "  \"merge_events_per_sec\": %.0f,\n"
-      "  \"merge_mean_span_events\": %.2f,\n"
-      "  \"merge_events_per_sec_cpus_24\": %.0f,\n"
-      "  \"merge_mean_span_events_cpus_24\": %.2f,\n"
-      "  \"tap_events_per_sec_interleaved\": %.0f,\n"
-      "  \"tap_events_per_sec_backlog_first\": %.0f,\n"
-      "  \"engine_events_per_sec_monitors_0\": %.0f,\n"
-      "  \"engine_events_per_sec_monitors_1\": %.0f,\n"
-      "  \"engine_events_per_sec_monitors_8\": %.0f\n"
-      "}\n",
-      util::ThreadPool::hardwareThreads(), kBufferWords,
-      static_cast<unsigned long long>(baseEvents), replicas,
-      cursorEventsPerSec, kCursorTarget,
-      cursorEventsPerSec >= kCursorTarget ? "true" : "false",
-      merges[0].eventsPerSec, merges[0].meanSpan, merges[1].eventsPerSec,
-      merges[1].meanSpan, tapInterleaved,
-      tapBacklog, runs[0].eventsPerSec, runs[1].eventsPerSec,
-      runs[2].eventsPerSec);
-  std::fputs(json.c_str(), stdout);
-  if (!out.empty()) std::ofstream(out) << json;
+  bench::writeBenchJson(
+      bench::JsonObject()
+          .add("bench", "streaming")
+          .add("host_threads", util::ThreadPool::hardwareThreads())
+          .add("buffer_words", kBufferWords)
+          .add("base_events", baseEvents)
+          .add("replicas", replicas)
+          .add("window_ms", 0.05, 2)
+          .add("snapshot_every_events", 65536)
+          .add("cursor_events_per_sec", cursorEventsPerSec, 0)
+          .add("cursor_target_events_per_sec", kCursorTarget, 0)
+          .add("cursor_meets_target", cursorEventsPerSec >= kCursorTarget)
+          .add("merge_events_per_sec", merges[0].eventsPerSec, 0)
+          .add("merge_mean_span_events", merges[0].meanSpan, 2)
+          .add("merge_events_per_sec_cpus_24", merges[1].eventsPerSec, 0)
+          .add("merge_mean_span_events_cpus_24", merges[1].meanSpan, 2)
+          .add("tap_events_per_sec_interleaved", tapInterleaved, 0)
+          .add("tap_events_per_sec_backlog_first", tapBacklog, 0)
+          .add("engine_events_per_sec_monitors_0", runs[0].eventsPerSec, 0)
+          .add("engine_events_per_sec_monitors_1", runs[1].eventsPerSec, 0)
+          .add("engine_events_per_sec_monitors_8", runs[2].eventsPerSec, 0),
+      out);
 
   std::filesystem::remove_all(dir);
   return 0;

@@ -43,7 +43,7 @@ class EventVectorArena {
     v.clear();  // run element destructors now, not under the lock's owner
     std::lock_guard lock(mutex_);
     if (bytes < kMinVectorBytes || pooledBytes_ + bytes > kMaxPooledBytes) {
-      noteFreed(bytes);  // dropped: the caller's vector frees it
+      util::noteBlockFreed(bytes);  // dropped: the caller's vector frees it
       return;
     }
     pooledBytes_ += bytes;
@@ -53,27 +53,16 @@ class EventVectorArena {
   /// Gives `v` room for `capacity` events. Every reallocation of a
   /// decode's vector comes through here — the decode loops make room for
   /// a record's words before decoding it, so decodeBuffer never grows a
-  /// vector itself — and a new block of the pooled size class is sized
-  /// above every block the arena has let go of. glibc raises its mmap
-  /// threshold to each block of up to 32 MiB it unmaps; a later block no
-  /// larger than that — the next stream's vector, often within a percent
-  /// of the last one — would come from the calling thread's heap instead,
-  /// and once freed sit at that heap's top, which malloc_trim does not
-  /// return: a vector's worth of resident memory per decoding thread for
-  /// the life of the process. Above the threshold each block is mapped on
-  /// its own and goes back whole. The extra capacity is address space
-  /// only: pages past the events are never touched.
+  /// vector itself — and a new block is sized by util::largeBlockBytes,
+  /// the rule the TraceSet's word arenas follow too: above every large
+  /// block let go of, so glibc maps it on its own and takes it back whole
+  /// (the next stream's vector is often within a percent of the last
+  /// one).
   void reserve(std::vector<DecodedEvent>& v, size_t capacity) {
     if (v.capacity() >= capacity) return;
-    size_t floor = 0;
-    {
-      std::lock_guard lock(mutex_);
-      if (capacity * sizeof(DecodedEvent) >= kMinVectorBytes && largestFreed_ != 0) {
-        floor = (largestFreed_ + kMapSlackBytes) / sizeof(DecodedEvent) + 1;
-      }
-      noteFreed(v.capacity() * sizeof(DecodedEvent));
-    }
-    v.reserve(std::max(capacity, floor));
+    util::noteBlockFreed(v.capacity() * sizeof(DecodedEvent));
+    const size_t bytes = util::largeBlockBytes(capacity * sizeof(DecodedEvent));
+    v.reserve((bytes + sizeof(DecodedEvent) - 1) / sizeof(DecodedEvent));
   }
 
   /// Room for `more` events past `v`'s end, growing geometrically.
@@ -84,24 +73,20 @@ class EventVectorArena {
   }
 
  private:
-  void noteFreed(size_t bytes) {
-    if (bytes <= kMaxThresholdBytes) largestFreed_ = std::max(largestFreed_, bytes);
-  }
-
   // Only vectors big enough for faults to matter are worth keeping, and
   // the arena never holds more than a typical decode's working set.
   static constexpr size_t kMinVectorBytes = 1u << 20;
   static constexpr size_t kMaxPooledBytes = 256u << 20;
-  // glibc's mmap threshold rises no higher than this (64-bit), and a
-  // mapped block carries less than the slack over its request.
-  static constexpr size_t kMaxThresholdBytes = 32u << 20;
-  static constexpr size_t kMapSlackBytes = 64u << 10;
 
   std::mutex mutex_;
   std::vector<std::vector<DecodedEvent>> pool_;
   size_t pooledBytes_ = 0;
-  size_t largestFreed_ = 0;  // largest block let go of, up to kMaxThresholdBytes
 };
+
+/// Keeps `arena` in `storage` unless nothing was allocated from it.
+void keep(std::vector<std::shared_ptr<const void>>& storage, util::WordArena&& arena) {
+  if (arena.used() != 0) storage.push_back(std::make_shared<util::WordArena>(std::move(arena)));
+}
 
 }  // namespace
 
@@ -122,6 +107,11 @@ TraceSet TraceSet::fromRecords(const std::vector<BufferRecord>& records,
     maxProcessor = std::max(maxProcessor, r.processor);
   }
   set.perProcessor_.resize(records.empty() ? 0 : maxProcessor + 1);
+  // The events view the set's own copy of the records' words.
+  util::WordArena words;
+  size_t totalWords = 0;
+  for (const BufferRecord& r : records) totalWords += r.words.size();
+  words.reserve(totalWords);
   for (auto& [processor, recs] : byProcessor) {
     std::stable_sort(recs.begin(), recs.end(),
                      [](const BufferRecord* a, const BufferRecord* b) {
@@ -133,8 +123,11 @@ TraceSet TraceSet::fromRecords(const std::vector<BufferRecord>& records,
     out = arena.acquire();
     for (size_t k = 0; k < recs.size(); ++k) {
       if (recs[k]->commitMismatch) ++set.stats_.commitMismatchBuffers;
-      arena.reserveMore(out, recs[k]->words.size());  // an event is >= 1 word
-      set.stats_.merge(decodeBuffer(recs[k]->words, recs[k]->seq, processor,
+      const std::vector<uint64_t>& src = recs[k]->words;
+      uint64_t* const copy = words.allocate(src.size());
+      std::copy(src.begin(), src.end(), copy);
+      arena.reserveMore(out, src.size());  // an event is >= 1 word
+      set.stats_.merge(decodeBuffer({copy, src.size()}, recs[k]->seq, processor,
                                     tsBase, out, options));
       if (k == 0 && recs.size() > 1) {
         // The first buffer's event density sizes the whole stream: one
@@ -143,6 +136,7 @@ TraceSet TraceSet::fromRecords(const std::vector<BufferRecord>& records,
       }
     }
   }
+  keep(set.storage_, std::move(words));
   return set;
 }
 
@@ -184,6 +178,10 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
   };
   struct UnitResult {
     std::vector<DecodedEvent> events;
+    // What the events view: the words the reader decompressed or read,
+    // and the file's mapping when a view points into it.
+    util::WordArena words;
+    std::shared_ptr<const util::MappedFile> mapping;
     DecodeStats stats;
     std::exception_ptr error;  // strict mode: validation failure
   };
@@ -268,6 +266,12 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
     }
     uint64_t tsBase = 0;  // unit 0 matches serial; later units start at a
                           // buffer anchor, which re-bases exactly
+    // Words not viewed in the mapping (compressed blocks, stdio reads) go
+    // to the unit's arena, sized for the whole range: reserved address
+    // space, touched only as far as it is filled.
+    reader->keepWordsIn(&r.words);
+    r.words.reserve((unit.end - unit.begin) * reader->recordWords());
+    bool viewsMapping = false;
     BufferView view;
     for (uint64_t k = unit.begin; k < unit.end; ++k) {
       if (!reader->readBufferView(k, view)) {
@@ -281,6 +285,7 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
         return;
       }
       if (view.commitMismatch) ++r.stats.commitMismatchBuffers;
+      viewsMapping = viewsMapping || reader->inMapping(view.words);
       arena.reserveMore(r.events, view.words.size());  // an event is >= 1 word
       r.stats.merge(decodeBuffer(view.words, view.seq, fs.processor, tsBase,
                                  r.events, options));
@@ -290,6 +295,8 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
         arena.reserve(r.events, r.events.size() * (unit.end - unit.begin) + 16);
       }
     }
+    reader->keepWordsIn(nullptr);
+    if (viewsMapping) r.mapping = reader->mapping();
   };
 
   const unsigned threads =
@@ -346,6 +353,8 @@ TraceSet TraceSet::fromFiles(const std::vector<std::string>& paths,
                       std::make_move_iterator(events.end()));
         }
         set.stats_.merge(results[u].stats);
+        keep(set.storage_, std::move(results[u].words));
+        if (results[u].mapping != nullptr) set.storage_.push_back(std::move(results[u].mapping));
       }
     }
     set.stats_.merge(fs.stats);

@@ -6,12 +6,15 @@
 // Ingestion is parallel and zero-copy: fromFiles decodes one file per
 // thread-pool task (per-processor event vectors are disjoint, so the
 // result is identical to serial decode regardless of thread count) and
-// serves record payloads straight from an mmap of each file. Tools
-// stream the cross-processor merge through a MergeCursor, which reads
-// the per-processor events in place.
+// serves record payloads straight from an mmap of each file. A decoded
+// event is a 48-byte view: its payload points into the words the
+// TraceSet keeps (DESIGN.md §7, §12). Tools stream the cross-processor
+// merge through a MergeCursor, which reads the per-processor events in
+// place.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -31,13 +34,22 @@ class TraceSet {
   /// first-touch cost on hundreds of MB again. Purely an optimization —
   /// observable behavior is unchanged.
   ~TraceSet();
-  TraceSet(const TraceSet&) = default;
+  /// A copy's events own copies of their payloads, so it does not share
+  /// this set's words. A move keeps every event, and every view, where it
+  /// is.
+  TraceSet(const TraceSet& o)
+      : perProcessor_(o.perProcessor_), stats_(o.stats_),
+        ticksPerSecond_(o.ticksPerSecond_) {}
   TraceSet(TraceSet&&) noexcept = default;
-  TraceSet& operator=(const TraceSet&) = default;
+  TraceSet& operator=(const TraceSet& o) {
+    if (this != &o) *this = TraceSet(o);
+    return *this;
+  }
   TraceSet& operator=(TraceSet&&) noexcept = default;
 
   /// Decode completed buffers (e.g. a MemorySink's records). Records are
-  /// grouped by processor and decoded in seq order.
+  /// grouped by processor and decoded in seq order. Their words are
+  /// copied: the events view the set's copy, not `records`.
   static TraceSet fromRecords(const std::vector<BufferRecord>& records,
                               const DecodeOptions& options = {});
 
@@ -47,6 +59,12 @@ class TraceSet {
   /// path order, and clock metadata is taken from the first readable
   /// file (files that disagree are counted in
   /// stats().metadataMismatchFiles).
+  ///
+  /// The events view the files' words in place: the set keeps a raw
+  /// file's mapping for as long as its events point into it (truncating
+  /// the file meanwhile makes reading the lost pages fault, as it would
+  /// mid-decode), and keeps in its own storage the words it decompressed
+  /// from LZ blocks or read through stdio (--no-mmap, options.fs).
   static TraceSet fromFiles(const std::vector<std::string>& paths,
                             const DecodeOptions& options = {});
 
@@ -66,6 +84,9 @@ class TraceSet {
   uint64_t lastTimestamp() const noexcept;
 
  private:
+  // What the events' payloads view: file mappings and word arenas.
+  // Declared first so it outlives the events.
+  std::vector<std::shared_ptr<const void>> storage_;
   std::vector<std::vector<DecodedEvent>> perProcessor_;
   DecodeStats stats_;
   double ticksPerSecond_ = 1e9;

@@ -81,9 +81,7 @@ struct IndexRun {
   bool empty() const noexcept { return entries.empty(); }
   EventRef operator[](size_t i) const noexcept {
     const IndexEntry& x = entries[i];
-    const auto length = static_cast<uint32_t>(
-        util::extractBits(x.type, EventHeader::kLengthShift, EventHeader::kLengthBits));
-    return {x.type, words.data() + x.offset + 1, length - 1, x.fullTimestamp,
+    return {x.type, words.data() + x.offset + 1, x.lengthWords() - 1, x.fullTimestamp,
             bufferSeq, processor, x.offset};
   }
 };

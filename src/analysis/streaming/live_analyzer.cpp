@@ -1,6 +1,8 @@
 #include "analysis/streaming/live_analyzer.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <memory>
 
 #include "analysis/streaming/folds.hpp"
 
@@ -32,22 +34,32 @@ void LiveAnalyzer::ingest(const BufferRecord& record) {
   const uint64_t majors = engine_.mergedMajors();
   selected_.resize(index_.size());
   size_t merged = 0;
+  size_t payloadWords = 0;
   uint64_t last = 0;
   for (size_t i = 0; i < index_.size(); ++i) {
     const IndexEntry& x = index_[i];
+    const bool take = hasMajor(majors, x.major());
     selected_[merged] = static_cast<uint32_t>(i);
-    merged += hasMajor(majors, x.major());
+    merged += take;
+    payloadWords += take * (x.lengthWords() - 1);
     last = std::max(last, x.fullTimestamp);
   }
   if (merged != 0) {
+    // The run keeps a copy of the selected events' payloads, which its
+    // events view: the record itself moves on downstream.
+    auto words = std::make_unique_for_overwrite<uint64_t[]>(payloadWords);
     std::vector<DecodedEvent> events;
     events.reserve(merged);
+    uint64_t* payload = words.get();
     for (size_t k = 0; k < merged; ++k) {
       const IndexEntry& x = index_[selected_[k]];
-      appendDecoded(events, record.words, EventHeader::decode(record.words[x.offset]),
-                    x.offset, x.fullTimestamp, record.seq, p);
+      const EventHeader h = EventHeader::decode(record.words[x.offset]);
+      const uint32_t n = h.lengthWords - 1;
+      std::memcpy(payload, record.words.data() + x.offset + 1, n * sizeof(uint64_t));
+      events.emplace_back(h, payload, n, x.fullTimestamp, record.seq, x.offset, p);
+      payload += n;
     }
-    merger_.push(p, std::move(events));
+    merger_.push(p, std::move(events), std::move(words));
   }
   merger_.punctuate(p, p, last);
   drainOrdered();

@@ -110,7 +110,8 @@ void OrderedMerger::settle() {
   spentLane_ = UINT32_MAX;
 }
 
-void OrderedMerger::push(uint32_t index, std::vector<DecodedEvent>&& run) {
+void OrderedMerger::push(uint32_t index, std::vector<DecodedEvent>&& run,
+                         std::unique_ptr<const uint64_t[]> words) {
   if (run.empty()) return;
   Lane& l = lane(index);
   l.seen = true;
@@ -119,10 +120,11 @@ void OrderedMerger::push(uint32_t index, std::vector<DecodedEvent>&& run) {
     if (e.fullTimestamp > l.lastTick) l.lastTick = e.fullTimestamp;
   }
   buffered_ += run.size();
-  // Moving the vector keeps its storage, so the pointers stay valid.
+  // Moving the vectors keeps their storage, so the pointers and the
+  // events' views stay valid.
   const DecodedEvent* const first = run.data();
   const DecodedEvent* const end = first + run.size();
-  l.runs.push_back(Run{std::move(run), first, end});
+  l.runs.push_back(Run{std::move(run), std::move(words), first, end});
   replay(width_ + index, laneKey(index));
 }
 
@@ -132,7 +134,7 @@ void OrderedMerger::borrow(uint32_t index, std::span<const DecodedEvent> run) {
   l.seen = true;
   l.processor = run.back().processor;
   buffered_ += run.size();
-  l.runs.push_back(Run{{}, run.data(), run.data() + run.size()});
+  l.runs.push_back(Run{{}, nullptr, run.data(), run.data() + run.size()});
   replay(width_ + index, laneKey(index));
 }
 
@@ -274,11 +276,15 @@ size_t StreamCursor::poll() {
           // stopping here would end the stream early and silently.
           throw std::runtime_error(damagedRecordMessage(segmentPath, k));
         }
+        // The run keeps its own copy of the record, which its events
+        // view: the reader and its mapping are gone by the next poll.
+        auto words = std::make_unique_for_overwrite<uint64_t[]>(view.words.size());
+        std::copy(view.words.begin(), view.words.end(), words.get());
         scratch_.clear();
-        stats_.merge(decodeBuffer(view.words, view.seq, processor,
+        stats_.merge(decodeBuffer({words.get(), view.words.size()}, view.seq, processor,
                                   cursor.tsBase, scratch_, options_.decode));
         ingested += scratch_.size();
-        merger_.push(static_cast<uint32_t>(i), exactRun(scratch_));
+        merger_.push(static_cast<uint32_t>(i), exactRun(scratch_), std::move(words));
         cursor.recordsDecoded = k + 1;
       }
       if (!options_.followRotations || cursor.recordsDecoded < count ||

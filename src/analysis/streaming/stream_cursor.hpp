@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
@@ -96,7 +97,8 @@ struct FileCursor {
 ///
 /// Span lifetime: a span (and a pointer from next()) into a pushed run
 /// stays valid until the next push(), punctuate(), nextSpan() or next()
-/// call; one into a borrowed run, as long as the borrowed events. Pushed
+/// call, and so do the payload words its events view, which the run
+/// keeps; one into a borrowed run, as long as the borrowed events. Pushed
 /// runs stay where they are when lanes are added or the merger is moved;
 /// a merger is not copyable.
 class OrderedMerger {
@@ -106,8 +108,11 @@ class OrderedMerger {
   OrderedMerger(OrderedMerger&&) = default;
   OrderedMerger& operator=(OrderedMerger&&) = default;
 
-  /// Appends one run to `lane` (an empty run is ignored).
-  void push(uint32_t lane, std::vector<DecodedEvent>&& run);
+  /// Appends one run to `lane` (an empty run is ignored). `words` holds
+  /// what the run's events view, if anything — the record they were
+  /// decoded from: the run keeps it, in place, until it is released.
+  void push(uint32_t lane, std::vector<DecodedEvent>&& run,
+            std::unique_ptr<const uint64_t[]> words = nullptr);
   /// Appends a run the merger reads in place and does not own: a closed
   /// trace's events, borrowed into a finished merger. Nothing is copied
   /// and no event is read until it is merged, so the run does not advance
@@ -141,6 +146,7 @@ class OrderedMerger {
  private:
   struct Run {
     std::vector<DecodedEvent> owned;  // empty for a borrowed run
+    std::unique_ptr<const uint64_t[]> words;  // what the owned events view
     const DecodedEvent* next;         // first event not handed out
     const DecodedEvent* end;
   };
@@ -197,7 +203,8 @@ class OrderedMerger {
 
 /// Moves `decoded` into a run of exactly its size and clears it; the
 /// caller's decode scratch keeps its capacity for the next buffer. Runs
-/// held back by the merger thus cost what their events occupy.
+/// held back by the merger thus cost what their events occupy. The
+/// events keep viewing what they viewed.
 std::vector<DecodedEvent> exactRun(std::vector<DecodedEvent>& decoded);
 
 struct StreamCursorOptions {

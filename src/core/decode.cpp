@@ -116,8 +116,9 @@ DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
                          const DecodeOptions& options, uint32_t limitWords) {
   return walkBuffer(words, tsBase, options, limitWords,
                     [&](uint64_t header, uint32_t pos, uint64_t ts) {
-                      appendDecoded(out, words, EventHeader::decode(header), pos,
-                                    ts, bufferSeq, processor);
+                      const EventHeader h = EventHeader::decode(header);
+                      out.emplace_back(h, words.data() + pos + 1, h.lengthWords - 1,
+                                       ts, bufferSeq, pos, processor);
                     });
 }
 

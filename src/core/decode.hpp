@@ -23,77 +23,74 @@ class FileSystem;  // util/faultfs.hpp
 
 namespace ktrace {
 
-/// A decoded event's payload words. Almost every trace event carries at
-/// most a few words (the paper's events are "typically 2-4 words"), so the
-/// payload lives inline in the event with no allocation; only the rare
-/// long event (monitor heartbeats, app blobs) spills to the heap. This is
-/// what lets the batched decoder emit events at memcpy speed instead of
-/// one vector allocation each. The inline capacity is sized to the
-/// longest common event: a lock-contention start with its three-frame
-/// call chain carries 6 payload words. The spill pointer overlays the
-/// inline words, so the size alone says which one is live.
+/// A decoded event's payload words: a view of the words that follow its
+/// header, which the event either borrows or owns (DESIGN.md §12). The
+/// decoder emits borrowed views into the words it is given, with no copy
+/// and no allocation, so whoever holds a decoded event keeps its words: a
+/// TraceSet keeps each file's mapping and the words it decompressed or
+/// read, an OrderedMerger run keeps its record's words. An owned payload
+/// is a heap copy: the pointer, the word count and an owned bit fit in 12
+/// bytes. Copying makes an owned copy, so a copied event outlives the
+/// words it was decoded from; moving transfers the view or the copy and
+/// leaves the source empty.
 class EventPayload {
  public:
-  static constexpr uint32_t kInlineWords = 6;
+  /// The longest payload a decode stores without allocating: every one.
+  /// Decode never copies a payload, whatever its length, and an event
+  /// header describes at most kMaxWords - 1 payload words.
+  static constexpr uint32_t kInlineWords = EventHeader::kMaxWords - 1;
 
-  /// Tag for the branch-free inline-copy constructor below.
-  struct PaddedTag {};
-
-  /// Starts the spill pointer null: data() may load it even while the
-  /// payload is inline, and it must not read an uninitialized union then.
-  EventPayload() noexcept { words_.heap_ = nullptr; }
+  EventPayload() noexcept : size_(0), owned_(0) {}
+  /// An owned copy of `n` words at `words`.
   EventPayload(const uint64_t* words, uint32_t n) : EventPayload() { assign(words, n); }
-  /// Hot-path constructor: copies kInlineWords words unconditionally and
-  /// keeps n of them (n <= kInlineWords; the caller must guarantee
-  /// kInlineWords words are readable at `words`). Unlike assign, nothing
-  /// is zeroed first — one store pass per event in the decode loop.
-  EventPayload(PaddedTag, const uint64_t* words, uint32_t n) noexcept
-      : size_(n) {
-    std::memcpy(words_.inline_, words, sizeof(words_.inline_));
+  /// A borrowed view of `n` words at `words`, which must outlive it.
+  static EventPayload view(const uint64_t* words, uint32_t n) noexcept {
+    return {words, n, 0};
   }
   ~EventPayload() { release(); }
 
-  EventPayload(const EventPayload& o) : EventPayload() { assign(o.data(), o.size_); }
+  EventPayload(const EventPayload& o) : EventPayload(o.data_, o.size_) {}
   EventPayload& operator=(const EventPayload& o) {
-    if (this != &o) assign(o.data(), o.size_);
+    if (this != &o) assign(o.data_, o.size_);
     return *this;
   }
-  /// A move takes the inline words or the spill pointer and leaves `o`
-  /// empty.
-  EventPayload(EventPayload&& o) noexcept : words_(o.words_), size_(o.size_) {
-    o.size_ = 0;
+  EventPayload(EventPayload&& o) noexcept
+      : data_(o.data_), size_(o.size_), owned_(o.owned_) {
+    o.forget();
   }
   EventPayload& operator=(EventPayload&& o) noexcept {
     if (this != &o) {
       release();
-      words_ = o.words_;
+      data_ = o.data_;
       size_ = o.size_;
-      o.size_ = 0;
+      owned_ = o.owned_;
+      o.forget();
     }
     return *this;
   }
 
+  /// Makes this an owned copy of `n` words at `words`, which may be this
+  /// payload's own.
   void assign(const uint64_t* words, uint32_t n) {
-    if (n > kInlineWords) {
-      uint64_t* spill = new uint64_t[n];
-      std::memcpy(spill, words, n * sizeof(uint64_t));
-      release();
-      words_.heap_ = spill;
-    } else {
-      release();
-      std::copy_n(words, n, words_.inline_);  // unlike memcpy, null-safe at n == 0
+    uint64_t* copy = nullptr;
+    if (n != 0) {
+      copy = new uint64_t[n];
+      std::memcpy(copy, words, n * sizeof(uint64_t));
     }
+    release();
+    data_ = copy;
     size_ = n;
+    owned_ = n != 0;
   }
 
+  /// True when the words are this payload's own heap copy.
+  bool owned() const noexcept { return owned_ != 0; }
   uint32_t size() const noexcept { return size_; }
   bool empty() const noexcept { return size_ == 0; }
-  const uint64_t* data() const noexcept {
-    return spilled() ? words_.heap_ : words_.inline_;
-  }
-  const uint64_t* begin() const noexcept { return data(); }
-  const uint64_t* end() const noexcept { return data() + size_; }
-  uint64_t operator[](size_t i) const noexcept { return data()[i]; }
+  const uint64_t* data() const noexcept { return data_; }
+  const uint64_t* begin() const noexcept { return data_; }
+  const uint64_t* end() const noexcept { return data_ + size_; }
+  uint64_t operator[](size_t i) const noexcept { return data_[i]; }
 
   bool operator==(const EventPayload& o) const noexcept {
     return std::equal(begin(), end(), o.begin(), o.end());
@@ -105,40 +102,42 @@ class EventPayload {
   }
 
  private:
-  bool spilled() const noexcept { return size_ > kInlineWords; }
-  void release() noexcept {
-    if (spilled()) delete[] words_.heap_;
+  EventPayload(const uint64_t* words, uint32_t n, uint32_t owned) noexcept
+      : data_(words), size_(n), owned_(owned) {}
+  void forget() noexcept {
+    data_ = nullptr;
     size_ = 0;
+    owned_ = 0;
+  }
+  void release() noexcept {
+    if (owned_ != 0) delete[] data_;
   }
 
-  union Words {
-    uint64_t* heap_;                 // live when size_ > kInlineWords
-    uint64_t inline_[kInlineWords];  // live otherwise
-  };
-  Words words_;        // a move copies whichever member is live
-  uint32_t size_ = 0;  // payload words
+  const uint64_t* data_ = nullptr;
+  uint32_t size_ : 31;   // payload words
+  uint32_t owned_ : 1;   // data_ is this payload's heap copy
 };
 
-/// An event copied out of a trace buffer.
+/// A decoded event: its header, where it came from, and a view of its
+/// payload words (see EventPayload for who keeps them).
 struct DecodedEvent {
   EventHeader header;
   uint32_t processor = 0;
   // No unique address: offsetInBuffer sits in the payload's tail padding,
-  // which keeps the event at 88 bytes.
+  // which keeps the event at 48 bytes.
   [[no_unique_address]] EventPayload data;  // header.lengthWords - 1 payload words
   uint32_t offsetInBuffer = 0;  // word offset of the header in its buffer
   uint64_t fullTimestamp = 0;   // 32-bit timestamp unwrapped via anchors
   uint64_t bufferSeq = 0;       // which buffer lap the event came from
 
   DecodedEvent() = default;
-  /// Decode-loop constructor: initializes every field directly so
-  /// emplace_back does a single store pass (no default-construct-then-
-  /// overwrite).
-  DecodedEvent(const EventHeader& h, EventPayload::PaddedTag tag,
-               const uint64_t* payloadWords, uint32_t payloadCount,
-               uint64_t ts, uint64_t seq, uint32_t offset,
+  /// Decode-loop constructor: every field initialized directly, so
+  /// emplace_back does a single store pass; the payload is a borrowed
+  /// view of `payloadCount` words at `payloadWords`.
+  DecodedEvent(const EventHeader& h, const uint64_t* payloadWords,
+               uint32_t payloadCount, uint64_t ts, uint64_t seq, uint32_t offset,
                uint32_t proc) noexcept
-      : header(h), processor(proc), data(tag, payloadWords, payloadCount),
+      : header(h), processor(proc), data(EventPayload::view(payloadWords, payloadCount)),
         offsetInBuffer(offset), fullTimestamp(ts), bufferSeq(seq) {}
 
   /// View of the payload for Registry::formatEvent.
@@ -151,7 +150,7 @@ struct DecodedEvent {
     return e;
   }
 };
-static_assert(sizeof(DecodedEvent) <= 88,
+static_assert(sizeof(DecodedEvent) <= 48,
               "decoded events are stored by the million; keep them small");
 
 struct DecodeStats {
@@ -225,37 +224,17 @@ constexpr uint64_t unwrapTimestamp(uint64_t base, uint32_t ts32) noexcept {
 /// base across buffers; a leading anchor event updates it exactly.
 /// `limitWords`, when nonzero, stops decoding at that offset (used for the
 /// in-flight buffer of a flight-recorder snapshot). Appends to `out`.
+///
+/// The events it appends borrow their payloads: each is a view into
+/// `words`, valid only as long as those words are, and nothing is copied
+/// or allocated. A caller that keeps the events past the words keeps the
+/// words too (a TraceSet, an OrderedMerger run), or copies the events,
+/// which makes each payload an owned copy.
 DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
                          uint32_t processor, uint64_t& tsBase,
                          std::vector<DecodedEvent>& out,
                          const DecodeOptions& options = {},
                          uint32_t limitWords = 0);
-
-/// Appends the event whose header `h` sits at word `pos` of `words` to
-/// `out` as a DecodedEvent with timestamp `ts`: decodeBuffer's emit, and
-/// how a reader of an index run copies out the events it keeps.
-inline void appendDecoded(std::vector<DecodedEvent>& out,
-                          std::span<const uint64_t> words, const EventHeader& h,
-                          uint32_t pos, uint64_t ts, uint64_t bufferSeq,
-                          uint32_t processor) {
-  const uint64_t* const payload = words.data() + pos + 1;
-  // A payload that fits inline and sits at least kInlineWords words before
-  // the buffer end takes the branch-free padded copy and the single-pass
-  // constructor; a long one, or one brushing the buffer end, is assigned.
-  if (h.lengthWords <= EventPayload::kInlineWords + 1 &&
-      pos + 1 + EventPayload::kInlineWords <= words.size()) [[likely]] {
-    out.emplace_back(h, EventPayload::PaddedTag{}, payload, h.lengthWords - 1,
-                     ts, bufferSeq, pos, processor);
-    return;
-  }
-  DecodedEvent& e = out.emplace_back();
-  e.header = h;
-  e.data.assign(payload, h.lengthWords - 1);
-  e.fullTimestamp = ts;
-  e.bufferSeq = bufferSeq;
-  e.offsetInBuffer = pos;
-  e.processor = processor;
-}
 
 /// One event of an index run: its unwrapped timestamp, where its header
 /// sits in the buffer, and the header's low word — length, major and
@@ -270,6 +249,11 @@ struct IndexEntry {
   Major major() const noexcept {
     return static_cast<Major>(
         util::extractBits(type, EventHeader::kMajorShift, EventHeader::kMajorBits));
+  }
+  /// Length in words, header included.
+  uint32_t lengthWords() const noexcept {
+    return static_cast<uint32_t>(
+        util::extractBits(type, EventHeader::kLengthShift, EventHeader::kLengthBits));
   }
 };
 

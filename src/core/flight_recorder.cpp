@@ -16,19 +16,24 @@ std::vector<DecodedEvent> flightRecorderSnapshot(const ShmTraceControl& control,
 
   const uint64_t oldestSeq = control.oldestIntactSeq(currentSeq);
 
+  // The events first view a copy of the ring's buffers, oldest first;
+  // the ones kept then take owned copies of their payloads, so the
+  // snapshot stands alone once the copy is gone.
   std::vector<DecodedEvent> events;
   uint64_t tsBase = 0;
-  std::vector<uint64_t> copy(bufferWords);
+  std::vector<uint64_t> copy((currentSeq - oldestSeq + 1) * bufferWords);
   for (uint64_t seq = oldestSeq; seq <= currentSeq; ++seq) {
     if (seq == currentSeq && currentOffset == 0) break;  // lap not yet begun
     const uint32_t slot = static_cast<uint32_t>(seq & (numBuffers - 1));
     const uint64_t base = static_cast<uint64_t>(slot) * bufferWords;
-    for (uint32_t i = 0; i < bufferWords; ++i) copy[i] = control.loadWord(base + i);
+    const std::span<uint64_t> words(copy.data() + (seq - oldestSeq) * bufferWords,
+                                    bufferWords);
+    for (uint32_t i = 0; i < bufferWords; ++i) words[i] = control.loadWord(base + i);
 
     DecodeOptions dopt;
     dopt.keepAnchors = options.includeAnchors;
     const uint32_t limit = seq == currentSeq ? currentOffset : 0;
-    decodeBuffer(copy, seq, control.processorId(), tsBase, events, dopt, limit);
+    decodeBuffer(words, seq, control.processorId(), tsBase, events, dopt, limit);
   }
 
   if (options.majorMask != ~0ull) {
@@ -40,6 +45,7 @@ std::vector<DecodedEvent> flightRecorderSnapshot(const ShmTraceControl& control,
     events.erase(events.begin(),
                  events.begin() + static_cast<ptrdiff_t>(events.size() - options.maxEvents));
   }
+  for (DecodedEvent& e : events) e.data.assign(e.data.data(), e.data.size());
   return events;
 }
 

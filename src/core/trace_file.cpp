@@ -523,10 +523,22 @@ bool TraceFileReader::fillPayload(int64_t offset, BufferView& out) {
       return true;
     }
   }
-  scratch_.resize(meta_.bufferWords);
-  if (!readBytesAt(offset, scratch_.data(), payloadBytes)) return false;
-  out.words = {scratch_.data(), scratch_.size()};
+  uint64_t* words = nullptr;
+  if (keep_ != nullptr) {
+    words = keep_->allocate(meta_.bufferWords);
+  } else {
+    scratch_.resize(meta_.bufferWords);
+    words = scratch_.data();
+  }
+  if (!readBytesAt(offset, words, payloadBytes)) return false;
+  out.words = {words, meta_.bufferWords};
   return true;
+}
+
+bool TraceFileReader::inMapping(std::span<const uint64_t> words) const noexcept {
+  if (map_ == nullptr || words.empty()) return false;
+  const auto* p = reinterpret_cast<const unsigned char*>(words.data());
+  return p >= map_->data() && p < map_->data() + map_->size();
 }
 
 bool TraceFileReader::readRecordViewAt(int64_t offset, BufferView& out, bool verify) {
@@ -642,7 +654,14 @@ bool TraceFileReader::loadCompressedBlock(size_t b) {
       kRecordHeaderBytes + pad8(bh.compressedBytes) != blk.storedBytes) {
     return false;
   }
-  blockWords_.resize(blk.rawBytes / sizeof(uint64_t));
+  const size_t rawWords = blk.rawBytes / sizeof(uint64_t);
+  uint64_t* words = nullptr;
+  if (keep_ != nullptr) {
+    words = keep_->allocate(rawWords);
+  } else {
+    blockWords_.resize(rawWords);
+    words = blockWords_.data();
+  }
   const unsigned char* src = nullptr;
   if (map_ != nullptr) {
     const int64_t streamAt = blk.offset + static_cast<int64_t>(kRecordHeaderBytes);
@@ -656,9 +675,10 @@ bool TraceFileReader::loadCompressedBlock(size_t b) {
     }
     src = blockScratch_.data();
   }
-  const ptrdiff_t n = util::lzDecompress(src, bh.compressedBytes, blockWords_.data(),
-                                         blockWords_.size() * sizeof(uint64_t));
+  const ptrdiff_t n = util::lzDecompress(src, bh.compressedBytes, words,
+                                         rawWords * sizeof(uint64_t));
   if (n != static_cast<ptrdiff_t>(blk.rawBytes)) return false;
+  blockData_ = words;
   cachedBlock_ = static_cast<int64_t>(b);
   return true;
 }
@@ -666,7 +686,7 @@ bool TraceFileReader::loadCompressedBlock(size_t b) {
 bool TraceFileReader::readBlockRecordView(size_t b, uint64_t slot, BufferView& out) {
   if (!loadCompressedBlock(b)) return false;
   const size_t wordsPerRecord = recordBytes_ / sizeof(uint64_t);
-  const uint64_t* rec = blockWords_.data() + slot * wordsPerRecord;
+  const uint64_t* rec = blockData_ + slot * wordsPerRecord;
   DiskRecordHeaderV2 rh{};
   std::memcpy(&rh, rec, sizeof(rh));
   if (rh.magic != kRecordMagic) return false;
@@ -799,7 +819,7 @@ void TraceFileReader::scanSalvageRange(int64_t begin, int64_t end, bool tornTail
           const size_t wordsPerRecord = recordBytes_ / sizeof(uint64_t);
           for (uint32_t j = 0; j < nrec; ++j) {
             uint32_t magic = 0;
-            std::memcpy(&magic, blockWords_.data() + j * wordsPerRecord, 4);
+            std::memcpy(&magic, blockData_ + j * wordsPerRecord, 4);
             if (magic == kRecordMagic) {
               index_.push_back({0, static_cast<int32_t>(b), j});
               ++report_.goodRecords;
@@ -880,7 +900,7 @@ void TraceFileReader::scanSalvage(int64_t fileSize) {
           const size_t wordsPerRecord = recordBytes_ / sizeof(uint64_t);
           for (uint32_t j = 0; j < blk.records; ++j) {
             uint32_t magic = 0;
-            std::memcpy(&magic, blockWords_.data() + j * wordsPerRecord, 4);
+            std::memcpy(&magic, blockData_ + j * wordsPerRecord, 4);
             if (magic == kRecordMagic) {
               index_.push_back({0, static_cast<int32_t>(b), j});
               ++report_.goodRecords;

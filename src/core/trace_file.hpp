@@ -48,6 +48,7 @@
 #include "core/timestamp.hpp"
 #include "util/faultfs.hpp"
 #include "util/mapped_file.hpp"
+#include "util/word_arena.hpp"
 
 namespace ktrace {
 
@@ -159,7 +160,7 @@ struct TraceReaderOptions {
 /// salvage records at unaligned resync offsets, and for decompressed
 /// blocks). The span stays valid until the next readBuffer/readBufferView
 /// call on the same reader, or the reader's destruction — copy it to keep
-/// it longer.
+/// it longer, or have the reader keep its words (keepWordsIn).
 struct BufferView {
   uint64_t seq = 0;
   uint64_t committedDelta = 0;
@@ -270,6 +271,9 @@ class TraceFileReader {
 
   const TraceFileMeta& meta() const noexcept { return meta_; }
   uint64_t bufferCount() const noexcept { return bufferCount_; }
+  /// Words a record takes up uncompressed, its header included: the most
+  /// keepWordsIn's arena takes per record read.
+  uint64_t recordWords() const noexcept { return recordBytes_ / sizeof(uint64_t); }
   uint32_t formatVersion() const noexcept { return version_; }
 
   /// Damage tally. In salvage mode this reflects the construction-time
@@ -292,6 +296,26 @@ class TraceFileReader {
   /// True when records are served from a memory mapping rather than
   /// buffered stdio reads.
   bool mapped() const noexcept { return map_ != nullptr; }
+
+  /// The mapping records are served from (null on the stdio path). A
+  /// view into it stays valid as long as the mapping is held, after the
+  /// reader is gone too. The mapping is MAP_PRIVATE over the file:
+  /// truncating the file under it makes a read of the lost pages fault.
+  std::shared_ptr<const util::MappedFile> mapping() const noexcept { return map_; }
+
+  /// Whether `words` lies in the mapping.
+  bool inMapping(std::span<const uint64_t> words) const noexcept;
+
+  /// From here on, every view's words stay valid as long as `arena` (and,
+  /// for a view into the mapping, the mapping): a record read through
+  /// stdio or at an unaligned salvage offset is read straight into
+  /// `arena`, and a compressed block is decompressed straight into it,
+  /// instead of into scratch the next read reuses. `arena` must outlive
+  /// the reader's reads; nullptr goes back to scratch.
+  void keepWordsIn(util::WordArena* arena) noexcept {
+    keep_ = arena;
+    cachedBlock_ = -1;  // a block cached in scratch is decompressed again
+  }
 
   /// Record ordinals where an independent decode unit may start: each
   /// sits on a v3 block boundary whose first record opens with a buffer
@@ -340,7 +364,7 @@ class TraceFileReader {
   void scanSalvageRange(int64_t begin, int64_t end, bool tornTail, bool allowBlocks);
   int64_t findResync(int64_t damagedAt, int64_t end, bool allowBlocks);
 
-  std::unique_ptr<util::MappedFile> map_;  // null: use file_
+  std::shared_ptr<const util::MappedFile> map_;  // null: use file_
   std::unique_ptr<util::File> file_;
   TraceFileMeta meta_;
   uint64_t bufferCount_ = 0;
@@ -352,8 +376,10 @@ class TraceFileReader {
   std::vector<RecordLoc> index_;    // salvage mode: validated records
   std::vector<uint64_t> scratch_;   // payload copy when a view can't alias the map
   std::vector<unsigned char> blockScratch_;  // stdio read of a block's stored bytes
-  std::vector<uint64_t> blockWords_;         // decompressed block cache
-  int64_t cachedBlock_ = -1;                 // index into blocks_ for blockWords_
+  std::vector<uint64_t> blockWords_;         // decompressed block scratch
+  const uint64_t* blockData_ = nullptr;      // the cached block's words
+  int64_t cachedBlock_ = -1;                 // index into blocks_ for blockData_
+  util::WordArena* keep_ = nullptr;          // see keepWordsIn
   size_t blockHint_ = 0;                     // last block touched (sequential reads)
   SalvageReport report_;
 };

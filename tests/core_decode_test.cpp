@@ -175,23 +175,27 @@ TEST(Decode, EventStraddlingLimitIsExcluded) {
 }
 
 TEST(Decode, PayloadsOfEverySizeDecodeIntact) {
-  // Payloads from empty to past the inline capacity, the last one ending
-  // exactly at the buffer end (where the padded copy must not be used).
+  // Payloads from empty to 8 words, the last one ending exactly at the
+  // buffer end. Every one is a view into the buffer: decode copies and
+  // allocates nothing.
   auto buf = makeBuffer(64);
   putAnchor(buf, 0, 100, 0);
   uint32_t at = 3;
   std::vector<std::vector<uint64_t>> sent;
-  for (uint32_t n = 0; n <= EventPayload::kInlineWords + 2; ++n) {
+  std::vector<uint32_t> offsets;
+  for (uint32_t n = 0; n <= 8; ++n) {
     std::vector<uint64_t> words;
     for (uint32_t i = 0; i < n; ++i) words.push_back(0x1000u * n + i);
     buf[at] = EventHeader::encode(100 + n, 1 + n, Major::Test, static_cast<uint16_t>(n));
     std::copy(words.begin(), words.end(), buf.begin() + at + 1);
+    offsets.push_back(at);
     at += 1 + n;
     sent.push_back(std::move(words));
   }
   std::vector<uint64_t> last(64 - at - 1, 0xEE);
   buf[at] = EventHeader::encode(200, 64 - at, Major::Test, 99);
   std::copy(last.begin(), last.end(), buf.begin() + at + 1);
+  offsets.push_back(at);
   sent.push_back(last);
 
   std::vector<DecodedEvent> events;
@@ -201,11 +205,15 @@ TEST(Decode, PayloadsOfEverySizeDecodeIntact) {
   for (size_t i = 0; i < sent.size(); ++i) {
     EXPECT_TRUE(events[i].data == std::span<const uint64_t>(sent[i])) << i;
     EXPECT_EQ(events[i].data.size(), events[i].header.lengthWords - 1) << i;
+    EXPECT_FALSE(events[i].data.owned()) << i;
+    EXPECT_EQ(events[i].data.data(), buf.data() + offsets[i] + 1) << i;
   }
   EXPECT_EQ(events.back().offsetInBuffer, at);
+  EXPECT_GT(EventPayload::kInlineWords, EventHeader::kMaxWords - 2)
+      << "every payload a header can describe decodes without allocating";
 }
 
-// --- EventPayload: inline and spilled representations -------------------
+// --- EventPayload: owned copies and borrowed views ----------------------
 
 std::vector<uint64_t> payloadWords(uint32_t n, uint64_t tag) {
   std::vector<uint64_t> words(n);
@@ -218,90 +226,179 @@ bool holds(const EventPayload& p, const std::vector<uint64_t>& words) {
          std::equal(p.begin(), p.end(), words.begin(), words.end());
 }
 
-// Sizes on both sides of the inline capacity, up to the largest payload an
+// Sizes around a typical event's payload, up to the largest payload an
 // event header can describe.
 constexpr uint32_t kPayloadSizes[] = {0, 5, 6, 7, EventHeader::kMaxWords - 1};
 
-TEST(EventPayload, CopiesAcrossInlineAndSpilled) {
-  for (const uint32_t from : kPayloadSizes) {
-    for (const uint32_t to : kPayloadSizes) {
-      const auto a = payloadWords(from, 1);
-      const auto b = payloadWords(to, 2);
-      const EventPayload src(a.data(), from);
+// A payload is either a view of words someone else keeps or a copy of its
+// own; both must behave as values.
+enum class Form { Owned, Borrowed };
+constexpr Form kForms[] = {Form::Owned, Form::Borrowed};
 
-      const EventPayload copied(src);
-      EXPECT_TRUE(holds(copied, a)) << from;
-      EXPECT_TRUE(holds(src, a)) << from;
+EventPayload make(Form form, const std::vector<uint64_t>& words) {
+  const auto n = static_cast<uint32_t>(words.size());
+  return form == Form::Owned ? EventPayload(words.data(), n)
+                             : EventPayload::view(words.data(), n);
+}
 
-      EventPayload assigned(b.data(), to);
-      assigned = src;
-      EXPECT_TRUE(holds(assigned, a)) << from << " over " << to;
-      EXPECT_TRUE(holds(src, a)) << from << " over " << to;
+const char* name(Form form) { return form == Form::Owned ? "owned" : "borrowed"; }
 
-      assigned.assign(b.data(), to);  // and back the other way
-      EXPECT_TRUE(holds(assigned, b)) << to << " over " << from;
+/// A copy is always an owned copy of its own: never the source's words.
+bool ownsCopyOf(const EventPayload& copy, const std::vector<uint64_t>& words) {
+  return holds(copy, words) && copy.owned() == !words.empty() &&
+         (words.empty() || copy.data() != words.data());
+}
+
+TEST(EventPayload, CopiesOwnedAndBorrowedForms) {
+  for (const Form fromForm : kForms) {
+    for (const Form toForm : kForms) {
+      for (const uint32_t from : kPayloadSizes) {
+        for (const uint32_t to : kPayloadSizes) {
+          const std::string what = std::string(name(fromForm)) + " " +
+                                   std::to_string(from) + " over " + name(toForm) +
+                                   " " + std::to_string(to);
+          const auto a = payloadWords(from, 1);
+          const auto b = payloadWords(to, 2);
+          const EventPayload src = make(fromForm, a);
+
+          const EventPayload copied(src);
+          EXPECT_TRUE(ownsCopyOf(copied, a)) << what;
+          EXPECT_TRUE(holds(src, a)) << what;
+
+          EventPayload assigned = make(toForm, b);
+          assigned = src;
+          EXPECT_TRUE(ownsCopyOf(assigned, a)) << what;
+          EXPECT_TRUE(holds(src, a)) << what;
+
+          assigned.assign(b.data(), to);  // and back the other way
+          EXPECT_TRUE(ownsCopyOf(assigned, b)) << what;
+        }
+      }
     }
   }
 }
 
-TEST(EventPayload, MovesAcrossInlineAndSpilledAndEmptiesTheSource) {
-  for (const uint32_t from : kPayloadSizes) {
-    for (const uint32_t to : kPayloadSizes) {
-      const auto a = payloadWords(from, 3);
-      const auto b = payloadWords(to, 4);
+TEST(EventPayload, MovesOwnedAndBorrowedFormsAndEmptiesTheSource) {
+  for (const Form fromForm : kForms) {
+    for (const Form toForm : kForms) {
+      for (const uint32_t from : kPayloadSizes) {
+        for (const uint32_t to : kPayloadSizes) {
+          const std::string what = std::string(name(fromForm)) + " " +
+                                   std::to_string(from) + " over " + name(toForm) +
+                                   " " + std::to_string(to);
+          const auto a = payloadWords(from, 3);
+          const auto b = payloadWords(to, 4);
 
-      EventPayload src(a.data(), from);
-      EventPayload moved(std::move(src));
-      EXPECT_TRUE(holds(moved, a)) << from;
-      EXPECT_EQ(src.size(), 0u);
-      EXPECT_TRUE(src.empty());
-      EXPECT_EQ(src.begin(), src.end());
+          EventPayload src = make(fromForm, a);
+          const uint64_t* const words = src.data();
+          EventPayload moved(std::move(src));
+          EXPECT_TRUE(holds(moved, a)) << what;
+          EXPECT_EQ(moved.data(), words) << what;  // transferred, not copied
+          EXPECT_EQ(moved.owned(), fromForm == Form::Owned && from != 0) << what;
+          EXPECT_EQ(src.size(), 0u);
+          EXPECT_TRUE(src.empty());
+          EXPECT_FALSE(src.owned());
+          EXPECT_EQ(src.begin(), src.end());
 
-      EventPayload target(b.data(), to);
-      target = std::move(moved);
-      EXPECT_TRUE(holds(target, a)) << from << " over " << to;
-      EXPECT_TRUE(moved.empty());
+          EventPayload target = make(toForm, b);
+          target = std::move(moved);
+          EXPECT_TRUE(holds(target, a)) << what;
+          EXPECT_EQ(target.data(), words) << what;
+          EXPECT_TRUE(moved.empty());
 
-      // A moved-from payload is reusable in either representation.
-      src.assign(b.data(), to);
-      EXPECT_TRUE(holds(src, b)) << to;
-      moved = std::move(src);
-      EXPECT_TRUE(holds(moved, b)) << to;
+          // A moved-from payload is reusable in either form.
+          src.assign(b.data(), to);
+          EXPECT_TRUE(ownsCopyOf(src, b)) << what;
+          moved = std::move(src);
+          EXPECT_TRUE(holds(moved, b)) << what;
+          src = make(toForm, b);
+          EXPECT_TRUE(holds(src, b)) << what;
+          EventPayload fromEmpty(std::move(target));
+          target = fromEmpty;
+          EXPECT_TRUE(ownsCopyOf(target, a)) << what;
+        }
+      }
     }
   }
 }
 
 TEST(EventPayload, SelfAssignmentKeepsTheWords) {
-  for (const uint32_t n : kPayloadSizes) {
-    const auto a = payloadWords(n, 5);
-    EventPayload p(a.data(), n);
-    EventPayload& alias = p;
-    p = alias;
-    EXPECT_TRUE(holds(p, a)) << n;
-    p = std::move(alias);
-    EXPECT_TRUE(holds(p, a)) << n;
+  for (const Form form : kForms) {
+    for (const uint32_t n : kPayloadSizes) {
+      const auto a = payloadWords(n, 5);
+      EventPayload p = make(form, a);
+      EventPayload& alias = p;
+      p = alias;
+      EXPECT_TRUE(holds(p, a)) << name(form) << " " << n;
+      p = std::move(alias);
+      EXPECT_TRUE(holds(p, a)) << name(form) << " " << n;
+      // Assigning a payload its own words makes an owned copy of them.
+      p.assign(p.data(), p.size());
+      EXPECT_TRUE(ownsCopyOf(p, a)) << name(form) << " " << n;
+      p.assign(p.data(), p.size());
+      EXPECT_TRUE(ownsCopyOf(p, a)) << name(form) << " " << n;
+    }
   }
 }
 
-TEST(EventPayload, EqualityIgnoresRepresentation) {
-  // The padded constructor copies kInlineWords words but keeps n; the
-  // words past n must not take part in comparisons.
-  std::vector<uint64_t> padded = payloadWords(EventPayload::kInlineWords, 6);
-  const EventPayload viaPadded(EventPayload::PaddedTag{}, padded.data(), 3);
-  const EventPayload viaAssign(padded.data(), 3);
-  EXPECT_TRUE(viaPadded == viaAssign);
-  EXPECT_TRUE(viaPadded == std::span<const uint64_t>(padded.data(), 3));
-  EXPECT_FALSE(viaPadded == std::span<const uint64_t>(padded));
-
-  // A spilled payload compares by its heap words; reassigned short, it is
-  // inline again and equal to one that never spilled.
-  const auto longWords = payloadWords(EventPayload::kInlineWords + 1, 7);
-  EventPayload reused(longWords.data(), EventPayload::kInlineWords + 1);
+TEST(EventPayload, EqualityIgnoresForm) {
+  // Only the viewed words take part in comparisons, never the words past
+  // the payload or where the words live.
+  for (const uint32_t n : kPayloadSizes) {
+    std::vector<uint64_t> longer = payloadWords(n + 1, 6);
+    const std::vector<uint64_t> a(longer.begin(), longer.end() - 1);
+    const EventPayload owned = make(Form::Owned, a);
+    const EventPayload borrowed = EventPayload::view(longer.data(), n);
+    EXPECT_TRUE(owned == borrowed) << n;
+    EXPECT_TRUE(borrowed == owned) << n;
+    EXPECT_TRUE(borrowed == std::span<const uint64_t>(a)) << n;
+    EXPECT_FALSE(borrowed == std::span<const uint64_t>(longer)) << n;
+    EXPECT_FALSE(owned == EventPayload::view(longer.data(), n + 1)) << n;
+  }
+  const auto longWords = payloadWords(EventHeader::kMaxWords - 1, 7);
+  const auto shortWords = payloadWords(3, 7);
+  EventPayload reused(longWords.data(), EventHeader::kMaxWords - 1);
   EXPECT_TRUE(reused == std::span<const uint64_t>(longWords));
-  EXPECT_FALSE(reused == viaAssign);
-  reused.assign(padded.data(), 3);
-  EXPECT_TRUE(reused == viaAssign);
+  EXPECT_FALSE(reused == EventPayload::view(shortWords.data(), 3));
+  reused.assign(shortWords.data(), 3);
+  EXPECT_TRUE(reused == EventPayload::view(shortWords.data(), 3));
   EXPECT_TRUE(EventPayload() == EventPayload(nullptr, 0));
+  EXPECT_TRUE(EventPayload() == EventPayload::view(nullptr, 0));
+}
+
+TEST(EventPayload, DecodedEventsCopyDeepAndMoveShallow) {
+  // The 48-byte layout, and value semantics at the event level: a copied
+  // decoded event owns its payload and outlives the buffer it came from.
+  static_assert(sizeof(DecodedEvent) == 48);
+  std::vector<DecodedEvent> copies;
+  std::vector<DecodedEvent> moved;
+  {
+    auto buf = makeBuffer(64);
+    putAnchor(buf, 0, 100, 0);
+    uint32_t at = putEvent(buf, 3, 101, Major::Test, 1, {1, 2, 3});
+    putEvent(buf, at, 102, Major::Test, 2, {});
+    std::vector<DecodedEvent> events;
+    uint64_t tsBase = 0;
+    decodeBuffer(buf, 7, 3, tsBase, events);
+    ASSERT_EQ(events.size(), 2u);
+    copies = events;
+    const uint64_t* const viewed = events[0].data.data();
+    moved = std::move(events);
+    EXPECT_EQ(moved[0].data.data(), viewed);  // a move keeps the view
+    EXPECT_FALSE(moved[0].data.owned());
+    EXPECT_TRUE(copies[0].data.owned());
+    EXPECT_NE(copies[0].data.data(), viewed);
+    buf.assign(buf.size(), ~0ull);  // the copies do not see later writes
+  }
+  ASSERT_EQ(copies.size(), 2u);
+  EXPECT_TRUE(copies[0].data == std::vector<uint64_t>({1, 2, 3}));
+  EXPECT_TRUE(copies[1].data.empty());
+  EXPECT_EQ(copies[0].fullTimestamp, 101u);
+  EXPECT_EQ(copies[0].bufferSeq, 7u);
+  EXPECT_EQ(copies[0].processor, 3u);
+  EXPECT_EQ(copies[0].offsetInBuffer, 3u);
+  EXPECT_EQ(copies[1].offsetInBuffer, 7u);
+  EXPECT_EQ(copies[0].header.minor, 1u);
 }
 
 // --- The index walk agrees with decodeBuffer ----------------------------

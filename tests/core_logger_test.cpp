@@ -29,6 +29,8 @@ struct LoggerFixture : ::testing::Test {
     std::vector<DecodedEvent> events;
     uint64_t tsBase = 0;
     decodeBuffer(words, 0, 0, tsBase, events, opts, limit);
+    // The events outlive `words`: each takes an owned copy of its payload.
+    for (DecodedEvent& e : events) e.data.assign(e.data.data(), e.data.size());
     return events;
   }
 };

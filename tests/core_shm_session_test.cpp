@@ -82,6 +82,8 @@ class ShmSessionTest : public ::testing::Test {
     for (const BufferRecord& r : records) {
       decodeBuffer(r.words, r.seq, r.processor, tsBase, events);
     }
+    // The events outlive `records`: each takes an owned copy of its payload.
+    for (DecodedEvent& e : events) e.data.assign(e.data.data(), e.data.size());
     return events;
   }
 

@@ -74,7 +74,8 @@ struct FakeFacility {
 };
 
 /// Decode every record in a MemorySink into events, per processor in seq
-/// order. Fillers and anchors are dropped unless requested.
+/// order. Fillers and anchors are dropped unless requested. The events own
+/// copies of their payloads: `records` is often a temporary.
 inline std::vector<DecodedEvent> decodeRecords(const std::vector<BufferRecord>& records,
                                                const DecodeOptions& options = {},
                                                DecodeStats* statsOut = nullptr) {
@@ -95,6 +96,7 @@ inline std::vector<DecodedEvent> decodeRecords(const std::vector<BufferRecord>& 
     }
     stats.merge(decodeBuffer(r.words, r.seq, r.processor, tsBase, events, options));
   }
+  for (DecodedEvent& e : events) e.data.assign(e.data.data(), e.data.size());
   if (statsOut != nullptr) *statsOut = stats;
   return events;
 }

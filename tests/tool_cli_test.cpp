@@ -235,8 +235,11 @@ TEST_F(ToolCliTest, FsckReportsCleanTrace) {
 TEST_F(ToolCliTest, EveryReportIsIdenticalRawAndLzAtOneAndFourThreads) {
   // One small recorded 4-cpu SDET run, written raw and compressed. Each
   // report prints the same text over either file set at 1 and 4 decode
-  // threads once the set's own path is taken out (profile's header and
-  // fsck's lines name the files).
+  // threads, through the mapping and through stdio reads, strict and
+  // salvaging, once the set's own path is taken out (profile's header and
+  // fsck's lines name the files). The words behind a decoded payload
+  // differ by path — the file's mapping, decompressed blocks, words read
+  // through stdio — and none of that may show.
   std::string out;
   std::vector<std::pair<std::string, std::string>> sets;  // (prefix, files)
   for (const bool compress : {false, true}) {
@@ -263,17 +266,22 @@ TEST_F(ToolCliTest, EveryReportIsIdenticalRawAndLzAtOneAndFourThreads) {
     std::string first;
     for (const auto& [prefix, files] : sets) {
       for (const char* threads : {" --threads=1", " --threads=4"}) {
-        EXPECT_EQ(runTool(report + files + threads, out), 0)
-            << report << files << threads;
-        for (size_t at = out.find(prefix); at != std::string::npos;
-             at = out.find(prefix, at)) {
-          out.replace(at, prefix.size(), "<set>");
-        }
-        if (first.empty()) {
-          first = out;
-          EXPECT_FALSE(first.empty()) << report;
-        } else {
-          EXPECT_EQ(out, first) << report << files << threads;
+        for (const char* io : {"", " --no-mmap"}) {
+          for (const char* mode : {"", " --salvage"}) {
+            const std::string flags = std::string(threads) + io + mode;
+            EXPECT_EQ(runTool(report + files + flags, out), 0)
+                << report << files << flags;
+            for (size_t at = out.find(prefix); at != std::string::npos;
+                 at = out.find(prefix, at)) {
+              out.replace(at, prefix.size(), "<set>");
+            }
+            if (first.empty()) {
+              first = out;
+              EXPECT_FALSE(first.empty()) << report;
+            } else {
+              EXPECT_EQ(out, first) << report << files << flags;
+            }
+          }
         }
       }
     }
