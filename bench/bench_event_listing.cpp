@@ -81,7 +81,7 @@ int main() {
     for (const DecodedEvent& e : events) {
       std::printf("%12.7f %-32s %s\n", e.fullTimestamp / 1e9,
                   registry.eventName(e.header.major, e.header.minor).c_str(),
-                  registry.formatEvent(e.asEvent()).c_str());
+                  registry.formatEvent(e).c_str());
       if (++shown == 8) break;
     }
   }

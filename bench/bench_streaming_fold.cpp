@@ -270,7 +270,7 @@ int main(int argc, char** argv) {
   }
   const double cursorEventsPerSec =
       cursorNs > 0 ? static_cast<double>(cursorEvents) * 1e9 / cursorNs : 0;
-  constexpr double kCursorTarget = 20e6;  // ROADMAP item 3
+  constexpr double kCursorTarget = 20e6;  // ROADMAP item 5
   std::printf(
       "cursor: %.2f M events/s (%llu events decoded + merged per pass; "
       "target %.0f M on one thread: %s)\n",

@@ -2,7 +2,8 @@
 # The whole verification gauntlet in one command:
 #   1. tier-1 build (-Werror) + full ctest suite (plain toolchain)
 #   2. ASan+UBSan build + full ctest suite (UBSan without recovery, so
-#      undefined behaviour aborts the test instead of only printing)
+#      undefined behaviour aborts the test instead of only printing; plus
+#      float-cast-overflow, which -fsanitize=undefined leaves out)
 #   3. TSan build + `concurrent`-labelled tests (ci/run_tsan.sh)
 #   4. monitor smoke: heartbeat trace -> ktracetool monitor --json
 #   5. crash smoke: fork/SIGKILL recovery harness across 20 seeds
@@ -40,7 +41,7 @@ cmake --build "$prefix" -j "$(nproc)"
 echo "==> [2/12] ASan+UBSan build + ctest (a UBSan report fails its test)"
 cmake -B "$prefix-asan" -S "$repo" -DKTRACE_SANITIZE=address,undefined \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-      -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined
+      "-DCMAKE_CXX_FLAGS=-fno-sanitize-recover=undefined -fsanitize=float-cast-overflow -fno-sanitize-recover=float-cast-overflow"
 cmake --build "$prefix-asan" -j "$(nproc)"
 (cd "$prefix-asan" && ctest --output-on-failure)
 

@@ -39,6 +39,11 @@ events=8000
 "$smoke" create sessions/fleet.kses --procs=$procs --buffer-words=64 \
          --buffers=512 >/dev/null
 
+# A negative window is a usage error (exit 2), not a silently disabled tap
+# (the timeout ends a daemon that started anyway).
+rc=0; timeout 10 "$ktraced" --dir=sessions --out=out --window-ms=-1 2>/dev/null || rc=$?
+[ "$rc" -eq 2 ] || { echo "streaming_smoke: --window-ms=-1 exited $rc, not 2" >&2; exit 1; }
+
 "$ktraced" --dir=sessions --out=out --socket=ctl.sock \
            --scan-ms=20 --poll-us=500 --window-ms=5 2>daemon.log &
 daemon_pid=$!

@@ -64,7 +64,7 @@ double runOnce(bool adaptive, analysis::SymbolTable& symbols, std::string* swapL
           e->header.minor == static_cast<uint16_t>(ossim::LockMinor::HotSwap)) {
         *swapLine = util::strprintf(
             "t=%.3f ms on cpu%u: %s", e->fullTimestamp / 1e6, e->processor,
-            registry.formatEvent(e->asEvent()).c_str());
+            registry.formatEvent(*e).c_str());
         break;
       }
     }

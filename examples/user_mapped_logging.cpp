@@ -86,7 +86,7 @@ int main() {
   for (const auto& e : tail) {
     std::printf("  %14llu  %s\n",
                 static_cast<unsigned long long>(e.fullTimestamp),
-                registry.formatEvent(e.asEvent()).c_str());
+                registry.formatEvent(e).c_str());
   }
 
   std::printf("\nper-event logging here is one CAS + stores in shared memory —\n"

@@ -59,7 +59,7 @@ std::string listEvents(const TraceSet& trace, const Registry& registry,
     }
     out << util::strprintf("%12.7f %-32s %s\n", seconds,
                            registry.eventName(e->header.major, e->header.minor).c_str(),
-                           registry.formatEvent(e->asEvent()).c_str());
+                           registry.formatEvent(*e).c_str());
     ++emitted;
   }
   return out.str();

@@ -169,26 +169,21 @@ size_t StreamEngine::heartbeatsRetained() const noexcept {
   return n;
 }
 
-void StreamEngine::noteHeartbeat(Processor& proc, uint16_t minor,
-                                 std::span<const uint64_t> payload,
-                                 uint64_t tick) {
+void StreamEngine::noteHeartbeat(Processor& proc, const DecodedEvent& e) {
   Heartbeat hb;
-  if (parseHeartbeat(Major::Monitor, minor, payload, hb)) {
-    proc.heartbeats.push_back({tick, hb});
-  }
+  if (parseHeartbeat(e, hb)) proc.heartbeats.push_back({e.fullTimestamp, hb});
 }
 
-template <class Refs>
-void StreamEngine::observeSlice(const Refs& events) {
+void StreamEngine::observeRun(std::span<const DecodedEvent> events) {
   // One processor's events. `watermark` tracks what observe() would hold
   // before each event — the minimum last tick over every processor — so a
-  // window created mid-slice is born complete, and older windows complete
+  // window created mid-run is born complete, and older windows complete
   // before it can push them out, exactly as event by event. After the
-  // slice's first event that watermark never falls, so completing windows
+  // run's first event that watermark never falls, so completing windows
   // only there and at the end reaches the same state as after every event.
   // Events of the processor and window the last ones touched take no
   // lookup: the slow paths run only at a switch.
-  const uint32_t cpu = events[0].processor();
+  const uint32_t cpu = events[0].processor;
   if (hotProcessor_ >= processors_.size() ||
       processors_[hotProcessor_].id != cpu) [[unlikely]] {
     selectProcessor(cpu);
@@ -201,11 +196,10 @@ void StreamEngine::observeSlice(const Refs& events) {
 
   const uint64_t width = config_.windowTicks;
   uint64_t counted = 0;  // events of the hot window not counted yet
-  for (size_t i = 0; i < events.size(); ++i) {
-    const EventRef e = events[i];
-    const uint64_t tick = e.fullTimestamp();
-    if (e.major() == Major::Monitor && keepHeartbeats_) [[unlikely]] {
-      noteHeartbeat(proc, e.minor(), e.data(), tick);
+  for (const DecodedEvent& e : events) {
+    const uint64_t tick = e.fullTimestamp;
+    if (e.header.major == Major::Monitor && keepHeartbeats_) [[unlikely]] {
+      noteHeartbeat(proc, e);
     }
     if (width != 0) {
       if (tick < hotStart_ || tick >= hotEnd_) [[unlikely]] {
@@ -224,14 +218,12 @@ void StreamEngine::observeSlice(const Refs& events) {
   completeWindows(watermark_);
 }
 
-void StreamEngine::observe(const DecodedEvent& e) {
-  observeSlice(DecodedRefs{std::span<const DecodedEvent>(&e, 1)});
-}
+void StreamEngine::observe(const DecodedEvent& e) { observeRun({&e, 1}); }
 
-void StreamEngine::onRun(const IndexRun& run) {
+void StreamEngine::onRun(std::span<const DecodedEvent> run) {
   if (run.empty()) return;
-  observeSlice(run);
-  for (Fold* fold : perProcessorFolds_) fold->onRun(run);
+  observeRun(run);
+  for (Fold* fold : perProcessorFolds_) fold->onEvents(run);
 }
 
 void StreamEngine::onMerged(std::span<const DecodedEvent> events) {

@@ -18,16 +18,16 @@
 //                 order — from a StreamCursor/OrderedMerger or a
 //                 MergeCursor — which satisfies every fold.
 //
-// The live tap feeds both planes a run at a time. It reads each harvested
-// buffer in place, as an IndexRun, and feeds it to onRun(): the window
-// plane and every fold whose declared order is PerProcessor (fold.hpp).
-// Only the events a Merged fold reads go through the tap's merger, and
-// each span it releases goes to those folds alone (onMerged). Nothing
-// keeps a reference past the call. onRun counts a window's events by
-// segment, sets the processor's last tick and advances the watermark once
-// per run, and parses heartbeats only from Major::Monitor events; the
-// engine ends up exactly as the same events fed to observe() one by one
-// would leave it.
+// The live tap feeds both planes a run at a time. It decodes each
+// harvested buffer to views of the buffer's words and feeds that span to
+// onRun(): the window plane and every fold whose declared order is
+// PerProcessor (fold.hpp). Only the events a Merged fold reads go through
+// the tap's merger, and each span it releases goes to those folds alone
+// (onMerged). Nothing keeps a reference past the call. onRun counts a
+// window's events by segment, sets the processor's last tick and advances
+// the watermark once per run, and parses heartbeats only from
+// Major::Monitor events; the engine ends up exactly as the same events
+// fed to observe() one by one would leave it.
 //
 // A window completes when the watermark — the minimum last-seen timestamp
 // across every processor that has produced events — passes its end; the
@@ -49,7 +49,6 @@
 #include <utility>
 #include <vector>
 
-#include "analysis/streaming/event_ref.hpp"
 #include "analysis/streaming/fold.hpp"
 #include "analysis/streaming/monitors.hpp"
 #include "core/monitor.hpp"
@@ -57,10 +56,17 @@
 namespace ktrace::analysis::streaming {
 
 /// The one place window geometry is computed, so the daemon and the
-/// offline replay can never disagree on it.
+/// offline replay can never disagree on it. Clamped to at least one tick
+/// and at most 2^62, so the conversion from double never overflows.
 inline uint64_t windowTicksForMs(double windowMs, double ticksPerSecond) {
+  // For every tick below 2^63 (292 years of a 1 GHz clock), the end of
+  // its window and of the next, up to (index + 2) * windowTicks, stay
+  // below 2^64.
+  constexpr uint64_t kMaxTicks = uint64_t{1} << 62;
   const double ticks = windowMs * ticksPerSecond / 1000.0;
-  return ticks < 1.0 ? 1 : static_cast<uint64_t>(ticks);
+  if (!(ticks >= 1.0)) return 1;  // NaN too
+  if (ticks >= static_cast<double>(kMaxTicks)) return kMaxTicks;
+  return static_cast<uint64_t>(ticks);
 }
 
 struct StreamEngineConfig {
@@ -88,10 +94,10 @@ class StreamEngine {
     }
   }
 
-  /// The live tap's entry for one harvested buffer read in place: the
-  /// window plane — the same state as observe() on each of its events in
-  /// turn — and every PerProcessor fold.
-  void onRun(const IndexRun& run);
+  /// The live tap's entry for one harvested buffer's events (one
+  /// processor, in logged order): the window plane — the same state as
+  /// observe() on each of them in turn — and every PerProcessor fold.
+  void onRun(std::span<const DecodedEvent> run);
 
   /// The live tap's entry for a span of its merger: the Merged folds only
   /// (the PerProcessor ones had these events from onRun).
@@ -148,11 +154,9 @@ class StreamEngine {
   /// Makes processor `id` the hot one (added if new), with the other
   /// processors' minimum last tick.
   void selectProcessor(uint32_t id);
-  /// One processor's events, as EventRefs (DecodedRefs or an IndexRun).
-  template <class Refs>
-  void observeSlice(const Refs& events);
-  void noteHeartbeat(Processor& proc, uint16_t minor,
-                     std::span<const uint64_t> payload, uint64_t tick);
+  /// The window plane over one processor's events.
+  void observeRun(std::span<const DecodedEvent> events);
+  void noteHeartbeat(Processor& proc, const DecodedEvent& event);
   /// Makes window `index` the hot window (nullptr when it has aged out).
   void selectWindow(uint64_t index, uint64_t watermark);
   /// Counts `events` of `processor` into the hot window.

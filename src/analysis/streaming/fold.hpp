@@ -12,17 +12,17 @@
 // looks at and the order it needs. A merged (timestamp, processor) feed
 // of every event satisfies every fold, which is what offline replay
 // gives. The live tap gives each fold only what it declares: a
-// PerProcessor fold gets each harvested buffer whole, read in place
-// (onRun), and a Merged fold gets only its majors, in merged order, span
-// by released span (onEvents). Either way a fold reads events as
-// EventRefs through one implementation.
+// PerProcessor fold gets each harvested buffer whole, decoded to views of
+// its words, and a Merged fold gets only its majors, in merged order,
+// span by released span. Either way a fold reads the same DecodedEvents,
+// as spans (onEvents) or one at a time (onEvent), through one
+// implementation.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
 
-#include "analysis/streaming/event_ref.hpp"
 #include "core/decode.hpp"
 
 namespace ktrace::analysis::streaming {
@@ -67,13 +67,8 @@ class Fold {
   virtual void onEvent(const DecodedEvent& event) = 0;
 
   /// Consecutive events of that same order, as onEvent would see them one
-  /// by one.
+  /// by one: a span the merger released, or one harvested buffer.
   void onEvents(std::span<const DecodedEvent> events) { foldSpan(events); }
-
-  /// One harvested buffer read in place: one processor's events in logged
-  /// order, as onEvent would see them one by one. Only a PerProcessor
-  /// fold may be fed this way.
-  void onRun(const IndexRun& run) { foldRun(run); }
 
   /// End of stream: the replay reached EOF or the live session drained.
   /// Folds finalize end-of-stream accounting here (e.g. unmatched
@@ -87,13 +82,12 @@ class Fold {
 
  protected:
   virtual void foldSpan(std::span<const DecodedEvent> events) = 0;
-  virtual void foldRun(const IndexRun& run) = 0;
 };
 
-/// Base of the shipped folds: `Derived::fold(const EventRef&)` is the
-/// fold's one implementation, and every entry point calls it directly —
-/// one virtual dispatch per span or run, not per event — for the events
-/// of the majors the fold reads, skipping the rest on their major alone.
+/// Base of the shipped folds: `Derived::fold(const DecodedEvent&)` is the
+/// fold's one implementation, and both entry points call it directly —
+/// one virtual dispatch per span, not per event — for the events of the
+/// majors the fold reads, skipping the rest on their major alone.
 /// The members are defined, and instantiated for each shipped fold, in
 /// folds.cpp, next to the folds they inline.
 template <class Derived>
@@ -103,7 +97,6 @@ class FoldOf : public Fold {
 
  protected:
   void foldSpan(std::span<const DecodedEvent> events) final;
-  void foldRun(const IndexRun& run) final;
 };
 
 }  // namespace ktrace::analysis::streaming

@@ -25,10 +25,10 @@ uint32_t typeKey(Major major, uint16_t minor) noexcept {
 // Fillers and anchors are written by the reservation machinery itself, not
 // through a logger entry point, so they are excluded from both sides of
 // the heartbeat identity (see analysis/completeness.cpp).
-bool isInfrastructure(const EventRef& e) noexcept {
-  return e.major() == Major::Control &&
-         (e.minor() == static_cast<uint16_t>(ControlMinor::Filler) ||
-          e.minor() == static_cast<uint16_t>(ControlMinor::BufferAnchor));
+bool isInfrastructure(const DecodedEvent& e) noexcept {
+  return e.header.major == Major::Control &&
+         (e.header.minor == static_cast<uint16_t>(ControlMinor::Filler) ||
+          e.header.minor == static_cast<uint16_t>(ControlMinor::BufferAnchor));
 }
 
 }  // namespace
@@ -50,10 +50,10 @@ size_t LockContentionFold::rowFor(PairState& s, uint64_t lockId,
   return rows_.size() - 1;
 }
 
-void LockContentionFold::fold(const EventRef& e) {
-  if (e.major() != Major::Lock) return;
-  const auto minor = static_cast<ossim::LockMinor>(e.minor());
-  const std::span<const uint64_t> data = e.data();
+void LockContentionFold::fold(const DecodedEvent& e) {
+  if (e.header.major != Major::Lock) return;
+  const auto minor = static_cast<ossim::LockMinor>(e.header.minor);
+  const EventPayload& data = e.data;
   if (data.size() < 2) return;
   const uint64_t lockId = data[0];
   const uint64_t pid = data[1];
@@ -69,7 +69,7 @@ void LockContentionFold::fold(const EventRef& e) {
         s.contending = true;
         ++openContends_;
       }
-      s.contendTs = e.fullTimestamp();
+      s.contendTs = e.fullTimestamp;
       s.chain.clear();
       if (data.size() >= 3) {
         const uint64_t chainLen =
@@ -89,7 +89,7 @@ void LockContentionFold::fold(const EventRef& e) {
         const size_t index = rowFor(s, lockId, pid);
         LockStats& row = rows_[index];
         const uint64_t spins = data.size() > 2 ? data[2] : 0;
-        const uint64_t wait = e.fullTimestamp() - s.contendTs;
+        const uint64_t wait = e.fullTimestamp - s.contendTs;
         row.totalWaitTicks += wait;
         row.maxWaitTicks = std::max(row.maxWaitTicks, wait);
         row.contendedCount += 1;
@@ -104,7 +104,7 @@ void LockContentionFold::fold(const EventRef& e) {
         --openContends_;
       }
       s.holding = true;
-      s.acquireTs = e.fullTimestamp();
+      s.acquireTs = e.fullTimestamp;
       break;
     }
     case ossim::LockMinor::Release: {
@@ -115,7 +115,7 @@ void LockContentionFold::fold(const EventRef& e) {
         PairState& s = pairs_[slot];
         if (s.bestRow != SIZE_MAX) {
           LockStats& best = rows_[s.bestRow];
-          best.totalHoldTicks += e.fullTimestamp() - s.acquireTs;
+          best.totalHoldTicks += e.fullTimestamp - s.acquireTs;
           best.releaseCount += 1;
         }
         s.holding = false;
@@ -179,19 +179,19 @@ void EventRateFold::growProcessors(uint32_t count) {
   stride_ = stride;
 }
 
-inline void EventRateFold::fold(const EventRef& e) {
-  const uint32_t p = e.processor();
+inline void EventRateFold::fold(const DecodedEvent& e) {
+  const uint32_t p = e.processor;
   if (numProcessors_ <= p) [[unlikely]] growProcessors(p + 1);
-  const Major major = e.major();
-  const uint16_t minor = e.minor();
+  const Major major = e.header.major;
+  const uint16_t minor = e.header.minor;
   const uint32_t direct =
       minor < kDirectMinors && !direct_.empty()
           ? direct_[static_cast<uint32_t>(major) * kDirectMinors + minor]
           : 0;
   const uint32_t t = direct != 0 ? direct - 1 : findType(major, minor);
   TypeCounts& c = types_[t];
-  const uint64_t tick = e.fullTimestamp();
-  const uint32_t words = e.lengthWords();
+  const uint64_t tick = e.fullTimestamp;
+  const uint32_t words = e.header.lengthWords;
   c.count += 1;
   c.words += words;
   c.firstTick = std::min(c.firstTick, tick);
@@ -233,10 +233,10 @@ std::string EventRateFold::summaryJson() const {
 
 // --- ProfileFold -------------------------------------------------------
 
-void ProfileFold::fold(const EventRef& e) {
-  const std::span<const uint64_t> data = e.data();
-  if (e.major() != Major::Prof ||
-      e.minor() != static_cast<uint16_t>(ossim::ProfMinor::PcSample) ||
+void ProfileFold::fold(const DecodedEvent& e) {
+  const EventPayload& data = e.data;
+  if (e.header.major != Major::Prof ||
+      e.header.minor != static_cast<uint16_t>(ossim::ProfMinor::PcSample) ||
       data.size() < 2) {
     return;
   }
@@ -353,29 +353,25 @@ void CompletenessFold::noteSequence(ProcState& s, uint64_t bufferSeq,
   }
 }
 
-void CompletenessFold::noteHeartbeat(ProcState& s, uint16_t minor,
-                                     std::span<const uint64_t> payload,
-                                     uint64_t bufferSeq, uint64_t tick) {
+void CompletenessFold::noteHeartbeat(ProcState& s, const DecodedEvent& e) {
   Heartbeat hb;
-  if (parseHeartbeat(Major::Monitor, minor, payload, hb)) {
-    closeInterval(s, bufferSeq, tick, hb);
-  }
+  if (parseHeartbeat(e, hb)) closeInterval(s, e.bufferSeq, e.fullTimestamp, hb);
 }
 
-inline void CompletenessFold::fold(const EventRef& e) {
-  ProcState& s = !procs_.empty() && procs_[hot_].processor == e.processor()
+inline void CompletenessFold::fold(const DecodedEvent& e) {
+  ProcState& s = !procs_.empty() && procs_[hot_].processor == e.processor
                      ? procs_[hot_]
-                     : findState(e.processor());
+                     : findState(e.processor);
   // The first event, or a jump in the buffer sequence (a lost buffer).
-  if (!s.sawFirst || e.bufferSeq() > s.prevBufferSeq + 1) [[unlikely]] {
-    noteSequence(s, e.bufferSeq(), e.fullTimestamp());
+  if (!s.sawFirst || e.bufferSeq > s.prevBufferSeq + 1) [[unlikely]] {
+    noteSequence(s, e.bufferSeq, e.fullTimestamp);
   }
-  s.prevBufferSeq = e.bufferSeq();
-  s.prevTick = e.fullTimestamp();
+  s.prevBufferSeq = e.bufferSeq;
+  s.prevTick = e.fullTimestamp;
 
   if (isInfrastructure(e)) return;
-  if (e.major() == Major::Monitor) [[unlikely]] {
-    noteHeartbeat(s, e.minor(), e.data(), e.bufferSeq(), e.fullTimestamp());
+  if (e.header.major == Major::Monitor) [[unlikely]] {
+    noteHeartbeat(s, e);
   }
   ++s.cum;  // heartbeats are logger events too; counted after marking
 }
@@ -453,7 +449,7 @@ std::string CompletenessFold::summaryJson() const {
 template <class Derived>
 void FoldOf<Derived>::onEvent(const DecodedEvent& e) {
   Derived& self = static_cast<Derived&>(*this);
-  if (hasMajor(self.properties().majors, e.header.major)) self.fold(EventRef::of(e));
+  if (hasMajor(self.properties().majors, e.header.major)) self.fold(e);
 }
 
 template <class Derived>
@@ -461,16 +457,7 @@ void FoldOf<Derived>::foldSpan(std::span<const DecodedEvent> events) {
   Derived& self = static_cast<Derived&>(*this);
   const uint64_t majors = self.properties().majors;
   for (const DecodedEvent& e : events) {
-    if (hasMajor(majors, e.header.major)) self.fold(EventRef::of(e));
-  }
-}
-
-template <class Derived>
-void FoldOf<Derived>::foldRun(const IndexRun& run) {
-  Derived& self = static_cast<Derived&>(*this);
-  const uint64_t majors = self.properties().majors;
-  for (size_t i = 0; i < run.size(); ++i) {
-    if (hasMajor(majors, run.entries[i].major())) self.fold(run[i]);
+    if (hasMajor(majors, e.header.major)) self.fold(e);
   }
 }
 

@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -50,7 +49,7 @@ class LockContentionFold final : public FoldOf<LockContentionFold> {
 
  private:
   friend class FoldOf<LockContentionFold>;
-  void fold(const EventRef& event);
+  void fold(const DecodedEvent& event);
 
   // Everything the fold tracks for one (lock, pid); created by the pair's
   // first contention.
@@ -99,7 +98,7 @@ class EventRateFold final : public FoldOf<EventRateFold> {
 
  private:
   friend class FoldOf<EventRateFold>;
-  void fold(const EventRef& event);
+  void fold(const DecodedEvent& event);
 
   // Types with a minor below this are found by direct index; the rest
   // (no shipped event has one) through a hash.
@@ -148,7 +147,7 @@ class ProfileFold final : public FoldOf<ProfileFold> {
 
  private:
   friend class FoldOf<ProfileFold>;
-  void fold(const EventRef& event);
+  void fold(const DecodedEvent& event);
 
   struct Samples {
     uint64_t pid = 0;
@@ -218,15 +217,12 @@ class CompletenessFold final : public FoldOf<CompletenessFold> {
     bool tailUnverified = false;
   };
 
-  void fold(const EventRef& event);
+  void fold(const DecodedEvent& event);
   ProcState& findState(uint32_t processor);
   // The rare arms of fold(), out of line: the first event or a lost
-  // buffer, and a heartbeat. They take the fields they use, not the
-  // EventRef, so the common path never builds one in memory.
+  // buffer, and a heartbeat.
   void noteSequence(ProcState& s, uint64_t bufferSeq, uint64_t tick);
-  void noteHeartbeat(ProcState& s, uint16_t minor,
-                     std::span<const uint64_t> payload, uint64_t bufferSeq,
-                     uint64_t tick);
+  void noteHeartbeat(ProcState& s, const DecodedEvent& event);
   void closeInterval(ProcState& s, uint64_t bufferSeq, uint64_t tick,
                      const Heartbeat& hb);
 

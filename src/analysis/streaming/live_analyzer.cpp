@@ -22,44 +22,49 @@ LiveAnalyzer::LiveAnalyzer(Sink& downstream, uint32_t numProcessors,
 void LiveAnalyzer::ingest(const BufferRecord& record) {
   const uint32_t p = record.processor;
   if (p >= tsBase_.size()) tsBase_.resize(p + 1, 0);
-  index_.clear();
-  indexBuffer(record.words, tsBase_[p], index_);
-  if (index_.empty()) return;
-  engine_.onRun(IndexRun{record.words, index_, record.seq, p});
+  // A record holds at most one event per word: reserved so, the scratch
+  // never grows inside decodeBuffer.
+  events_.clear();
+  events_.reserve(record.words.size());
+  decodeBuffer(record.words, record.seq, p, tsBase_[p], events_);
+  if (events_.empty()) return;
+  engine_.onRun(events_);
 
   // Copy out only what the Merged folds read, into a run of exactly that
   // size, so what the merger holds costs what it occupies. The selection
   // is branch-free: lock events interleave with the rest too irregularly
   // for a per-event branch to predict.
   const uint64_t majors = engine_.mergedMajors();
-  selected_.resize(index_.size());
+  selected_.resize(events_.size());
   size_t merged = 0;
   size_t payloadWords = 0;
   uint64_t last = 0;
-  for (size_t i = 0; i < index_.size(); ++i) {
-    const IndexEntry& x = index_[i];
-    const bool take = hasMajor(majors, x.major());
+  for (size_t i = 0; i < events_.size(); ++i) {
+    const DecodedEvent& e = events_[i];
+    const bool take = hasMajor(majors, e.header.major);
     selected_[merged] = static_cast<uint32_t>(i);
     merged += take;
-    payloadWords += take * (x.lengthWords() - 1);
-    last = std::max(last, x.fullTimestamp);
+    payloadWords += take * e.data.size();
+    last = std::max(last, e.fullTimestamp);
   }
   if (merged != 0) {
     // The run keeps a copy of the selected events' payloads, which its
-    // events view: the record itself moves on downstream.
+    // events view: the record itself moves on downstream. Each event is
+    // built as a view of that copy; copying a DecodedEvent would give it a
+    // heap copy of its own.
     auto words = std::make_unique_for_overwrite<uint64_t[]>(payloadWords);
-    std::vector<DecodedEvent> events;
-    events.reserve(merged);
+    std::vector<DecodedEvent> run;
+    run.reserve(merged);
     uint64_t* payload = words.get();
     for (size_t k = 0; k < merged; ++k) {
-      const IndexEntry& x = index_[selected_[k]];
-      const EventHeader h = EventHeader::decode(record.words[x.offset]);
-      const uint32_t n = h.lengthWords - 1;
-      std::memcpy(payload, record.words.data() + x.offset + 1, n * sizeof(uint64_t));
-      events.emplace_back(h, payload, n, x.fullTimestamp, record.seq, x.offset, p);
+      const DecodedEvent& e = events_[selected_[k]];
+      const uint32_t n = e.data.size();
+      std::memcpy(payload, e.data.data(), n * sizeof(uint64_t));
+      run.emplace_back(e.header, payload, n, e.fullTimestamp, e.bufferSeq,
+                       e.offsetInBuffer, e.processor);
       payload += n;
     }
-    merger_.push(p, std::move(events), std::move(words));
+    merger_.push(p, std::move(run), std::move(words));
   }
   merger_.punctuate(p, p, last);
   drainOrdered();

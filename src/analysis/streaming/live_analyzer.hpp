@@ -2,13 +2,13 @@
 //
 // Sits between a tenant's BatchingSink and its FileSink: every buffer
 // record that is about to become durable is read in place, then handed to
-// the real sink untouched. One header walk (indexBuffer) indexes the
-// record's events over its own words; that index run goes to the window
-// plane and to every PerProcessor fold whole, with no copy. Only the
-// events a Merged fold reads (the lock events) are copied out, into one
-// exact-size run for the OrderedMerger, whose lane the record then
-// punctuates at its last timestamp; each span the merger releases goes to
-// the Merged folds. Placing the tap *downstream* of the batching queue
+// the real sink untouched. decodeBuffer decodes the record into a reused
+// scratch vector of views over its own words; that run goes to the window
+// plane and to every PerProcessor fold whole, with no payload copied.
+// Only the events a Merged fold reads (the lock events) are copied out,
+// into one exact-size run for the OrderedMerger, whose lane the record
+// then punctuates at its last timestamp; each span the merger releases
+// goes to the Merged folds. Placing the tap *downstream* of the batching queue
 // means quota sheds and queue drops never reach the engine, so the live
 // numbers describe exactly the events that land in the files: an offline
 // replay of those files reproduces the snapshots bit for bit.
@@ -68,8 +68,8 @@ class LiveAnalyzer final : public Sink {
   StreamEngine engine_;
   OrderedMerger merger_;
   std::vector<uint64_t> tsBase_;
-  std::vector<IndexEntry> index_;    // the current record's index run
-  std::vector<uint32_t> selected_;   // its entries the merger takes
+  std::vector<DecodedEvent> events_;  // the current record, decoded to views
+  std::vector<uint32_t> selected_;    // its events the merger takes
   bool finished_ = false;
 };
 

@@ -15,20 +15,13 @@ bool headerLooksValid(uint64_t headerWord, uint32_t offset, uint32_t bufferWords
   return true;
 }
 
-namespace {
-
-/// The one header walk over a buffer (§3.1–3.2): validity rules, anchor
-/// re-basing, timestamp unwrap and the DecodeStats tallies. It calls
-/// emit(headerWord, offset, fullTimestamp) for every event the options
-/// keep; what an event becomes — a DecodedEvent copy or an index entry
-/// over the record's words — is the emitter's business alone.
-template <typename Emit>
-DecodeStats walkBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
-                       const DecodeOptions& options, uint32_t limitWords,
-                       Emit&& emit) {
-  // The tallies live in locals, not in `stats`: the emitter's stores
-  // could alias a DecodeStats field, which would pin every tally to
-  // memory for the whole walk.
+DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
+                         uint32_t processor, uint64_t& tsBase,
+                         std::vector<DecodedEvent>& out,
+                         const DecodeOptions& options, uint32_t limitWords) {
+  // The tallies live in locals, not in `stats`: the event stores could
+  // alias a DecodeStats field, which would pin every tally to memory for
+  // the whole walk.
   uint64_t events = 0;
   uint64_t fillers = 0;
   uint64_t fillerWords = 0;
@@ -42,6 +35,10 @@ DecodeStats walkBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
   // store forwarding once per event.
   const auto field = [](uint64_t word, uint32_t shift, uint32_t bits) {
     return static_cast<uint32_t>(util::extractBits(word, shift, bits));
+  };
+  const auto emit = [&](uint64_t word, uint32_t pos, uint64_t ts) {
+    const EventHeader h = EventHeader::decode(word);
+    out.emplace_back(h, w + pos + 1, h.lengthWords - 1, ts, bufferSeq, pos, processor);
   };
   uint64_t base = tsBase;
   uint32_t pos = 0;
@@ -106,29 +103,6 @@ DecodeStats walkBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
   stats.fillers = fillers;
   stats.fillerWords = fillerWords;
   return stats;
-}
-
-}  // namespace
-
-DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
-                         uint32_t processor, uint64_t& tsBase,
-                         std::vector<DecodedEvent>& out,
-                         const DecodeOptions& options, uint32_t limitWords) {
-  return walkBuffer(words, tsBase, options, limitWords,
-                    [&](uint64_t header, uint32_t pos, uint64_t ts) {
-                      const EventHeader h = EventHeader::decode(header);
-                      out.emplace_back(h, words.data() + pos + 1, h.lengthWords - 1,
-                                       ts, bufferSeq, pos, processor);
-                    });
-}
-
-DecodeStats indexBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
-                        std::vector<IndexEntry>& out,
-                        const DecodeOptions& options, uint32_t limitWords) {
-  return walkBuffer(words, tsBase, options, limitWords,
-                    [&](uint64_t header, uint32_t pos, uint64_t ts) {
-                      out.push_back(IndexEntry{ts, pos, static_cast<uint32_t>(header)});
-                    });
 }
 
 }  // namespace ktrace

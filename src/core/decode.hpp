@@ -139,16 +139,6 @@ struct DecodedEvent {
                uint32_t proc) noexcept
       : header(h), processor(proc), data(EventPayload::view(payloadWords, payloadCount)),
         offsetInBuffer(offset), fullTimestamp(ts), bufferSeq(seq) {}
-
-  /// View of the payload for Registry::formatEvent.
-  Event asEvent() const noexcept {
-    Event e;
-    e.header = header;
-    e.data = data.data();
-    e.fullTimestamp = fullTimestamp;
-    e.processor = processor;
-    return e;
-  }
 };
 static_assert(sizeof(DecodedEvent) <= 48,
               "decoded events are stored by the million; keep them small");
@@ -229,42 +219,12 @@ constexpr uint64_t unwrapTimestamp(uint64_t base, uint32_t ts32) noexcept {
 /// `words`, valid only as long as those words are, and nothing is copied
 /// or allocated. A caller that keeps the events past the words keeps the
 /// words too (a TraceSet, an OrderedMerger run), or copies the events,
-/// which makes each payload an owned copy.
+/// which makes each payload an owned copy. Every event takes at least one
+/// word, so it appends at most `words.size()` events.
 DecodeStats decodeBuffer(std::span<const uint64_t> words, uint64_t bufferSeq,
                          uint32_t processor, uint64_t& tsBase,
                          std::vector<DecodedEvent>& out,
                          const DecodeOptions& options = {},
                          uint32_t limitWords = 0);
-
-/// One event of an index run: its unwrapped timestamp, where its header
-/// sits in the buffer, and the header's low word — length, major and
-/// minor (EventHeader's bits [31:0]) — so a reader that only classifies
-/// events never touches the buffer. The payload stays in the buffer's
-/// words, which the event is read from in place (DESIGN.md §13).
-struct IndexEntry {
-  uint64_t fullTimestamp = 0;
-  uint32_t offset = 0;  // word offset of the header in its buffer
-  uint32_t type = 0;    // the header word's bits [31:0]
-
-  Major major() const noexcept {
-    return static_cast<Major>(
-        util::extractBits(type, EventHeader::kMajorShift, EventHeader::kMajorBits));
-  }
-  /// Length in words, header included.
-  uint32_t lengthWords() const noexcept {
-    return static_cast<uint32_t>(
-        util::extractBits(type, EventHeader::kLengthShift, EventHeader::kLengthBits));
-  }
-};
-
-/// The same walk as decodeBuffer — same validity rules, anchor re-basing,
-/// timestamp unwrap, options and DecodeStats — but appends one IndexEntry
-/// per event decodeBuffer would emit, in the same order, instead of
-/// copying the event out. The entries index `words`, so they are valid
-/// as long as those words are.
-DecodeStats indexBuffer(std::span<const uint64_t> words, uint64_t& tsBase,
-                        std::vector<IndexEntry>& out,
-                        const DecodeOptions& options = {},
-                        uint32_t limitWords = 0);
 
 }  // namespace ktrace

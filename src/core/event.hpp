@@ -124,17 +124,4 @@ static_assert(EventHeader::kTimestampBits + EventHeader::kLengthBits +
 static_assert(static_cast<uint32_t>(Major::MajorCount) <= kMaxMajors,
               "at most 64 major classes (single-word trace mask)");
 
-/// A decoded event: header plus a view of its data words. The data pointer
-/// aliases the trace buffer (or a copy thereof) owned by the reader.
-struct Event {
-  EventHeader header;
-  const uint64_t* data = nullptr;  // header.lengthWords - 1 words
-  uint64_t fullTimestamp = 0;      // reconstructed 64-bit time (reader fills in)
-  uint32_t processor = 0;          // source processor (reader fills in)
-
-  uint32_t dataWords() const noexcept {
-    return header.lengthWords > 0 ? header.lengthWords - 1 : 0;
-  }
-};
-
 }  // namespace ktrace

@@ -58,7 +58,7 @@ std::string flightRecorderReport(const ShmTraceControl& control, const Registry&
     const double seconds = static_cast<double>(e.fullTimestamp) / ticksPerSecond;
     out << util::strprintf("%14.7f  %-34s %s\n", seconds,
                            registry.eventName(e.header.major, e.header.minor).c_str(),
-                           registry.formatEvent(e.asEvent()).c_str());
+                           registry.formatEvent(e).c_str());
   }
   return out.str();
 }

@@ -3,6 +3,7 @@
 #include <cstdio>
 #include <sstream>
 
+#include "core/decode.hpp"
 #include "core/packing.hpp"
 #include "util/table.hpp"
 
@@ -171,9 +172,9 @@ std::string applyDisplayTemplate(const std::string& display,
   return out;
 }
 
-std::string Registry::formatEvent(const Event& event) const {
+std::string Registry::formatEvent(const DecodedEvent& event) const {
   const EventDescriptor* desc = find(event.header.major, event.header.minor);
-  const std::span<const uint64_t> data(event.data, event.dataWords());
+  const std::span<const uint64_t> data(event.data.data(), event.data.size());
   if (desc != nullptr) {
     std::vector<FieldValue> values;
     if (decodeValues(*desc, data, values)) {

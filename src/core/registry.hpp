@@ -30,6 +30,8 @@
 
 namespace ktrace {
 
+struct DecodedEvent;  // core/decode.hpp
+
 #define KT_TR(arg) #arg
 
 struct EventDescriptor {
@@ -74,7 +76,7 @@ class Registry {
   /// Human-readable rendering of the event's payload via the descriptor's
   /// display template; falls back to a hex word dump when the event is
   /// unregistered or malformed.
-  std::string formatEvent(const Event& event) const;
+  std::string formatEvent(const DecodedEvent& event) const;
 
   size_t size() const;
 

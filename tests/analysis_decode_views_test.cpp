@@ -1,9 +1,9 @@
 // Decoded events are views into trace words (DESIGN.md §12): who keeps
 // the words, and whether every reader path views the same ones.
 //
-// Equivalence: every event TraceSet::fromFiles, TraceSet::fromRecords,
-// StreamCursor and decodeBuffer produce equals the indexBuffer entry over
-// the same record words — every field and every payload word — across
+// Equivalence: every event TraceSet::fromFiles, TraceSet::fromRecords and
+// StreamCursor produce equals what decodeBuffer makes of the same record
+// words, each field and payload word read off those words, across
 // v1/v2/v3/v3-LZ files, mmap/stdio/fault-injecting reads, and strict and
 // salvage decoding of clean, torn and bit-flipped files.
 //
@@ -72,28 +72,26 @@ using PerProcessor = std::map<uint32_t, std::vector<Expected>>;
   return ::testing::AssertionSuccess();
 }
 
-/// Indexes one record's words and appends what each event must be. The
-/// decodeBuffer events over the same words must match the entries too,
-/// and view those words in place.
+/// Decodes one record's words and appends what each event must be: the
+/// header word at the event's offset and the payload words after it, read
+/// off the record. The decoded events must match, and view those words in
+/// place.
 void expectRecord(std::span<const uint64_t> words, uint64_t seq, uint32_t processor,
                   uint64_t& tsBase, const DecodeOptions& options,
                   std::vector<Expected>& out) {
-  uint64_t decodeBase = tsBase;
-  std::vector<IndexEntry> index;
-  indexBuffer(words, tsBase, index, options);
   std::vector<DecodedEvent> decoded;
-  decodeBuffer(words, seq, processor, decodeBase, decoded, options);
-  ASSERT_EQ(decoded.size(), index.size());
-  EXPECT_EQ(decodeBase, tsBase);
-  for (size_t i = 0; i < index.size(); ++i) {
-    const IndexEntry& x = index[i];
-    const uint32_t n = x.lengthWords() - 1;
-    Expected e{words[x.offset], processor, x.offset, x.fullTimestamp, seq,
-               std::vector<uint64_t>(words.begin() + x.offset + 1,
-                                     words.begin() + x.offset + 1 + n)};
-    EXPECT_TRUE(same(decoded[i], e)) << "decodeBuffer event " << i;
-    EXPECT_EQ(decoded[i].data.data(), words.data() + x.offset + 1);
-    EXPECT_FALSE(decoded[i].data.owned());
+  decodeBuffer(words, seq, processor, tsBase, decoded, options);
+  for (size_t i = 0; i < decoded.size(); ++i) {
+    const DecodedEvent& d = decoded[i];
+    const uint32_t at = d.offsetInBuffer;
+    ASSERT_LT(at, words.size()) << "decodeBuffer event " << i;
+    const uint32_t n = EventHeader::decode(words[at]).lengthWords - 1;
+    ASSERT_LE(at + 1 + n, words.size()) << "decodeBuffer event " << i;
+    Expected e{words[at], processor, at, d.fullTimestamp, seq,
+               std::vector<uint64_t>(words.begin() + at + 1, words.begin() + at + 1 + n)};
+    EXPECT_TRUE(same(d, e)) << "decodeBuffer event " << i;
+    EXPECT_EQ(d.data.data(), words.data() + at + 1);
+    EXPECT_FALSE(d.data.owned());
     out.push_back(std::move(e));
   }
 }
@@ -266,7 +264,7 @@ class DecodeViewsTest : public ::testing::Test {
   std::vector<BufferRecord> records_;
 };
 
-TEST_F(DecodeViewsTest, EveryReaderPathMatchesTheIndexWalk) {
+TEST_F(DecodeViewsTest, EveryReaderPathMatchesDecodeBuffer) {
   util::FaultInjectingFileSystem faultfs{util::FaultPlan{}};
   for (const std::string stem : {"v1", "v2", "v3", "v3z"}) {
     for (const bool damaged : {false, true}) {
@@ -322,7 +320,7 @@ TEST_F(DecodeViewsTest, EveryReaderPathMatchesTheIndexWalk) {
   }
 }
 
-TEST_F(DecodeViewsTest, FromRecordsMatchesTheIndexWalk) {
+TEST_F(DecodeViewsTest, FromRecordsMatchesDecodeBuffer) {
   for (const DecodeOptions& options : {DecodeOptions{}, DecodeOptions{true, true}}) {
     PerProcessor expected;
     std::map<uint32_t, std::vector<const BufferRecord*>> byProcessor;

@@ -1,7 +1,7 @@
 // The live tap at run granularity (DESIGN.md §13): a buffer is one run,
 // observed, merged and folded whole. These tests pin the claims that make
 // that safe:
-//   - StreamEngine::onRun, over a buffer read in place as an index run,
+//   - StreamEngine::onRun, over a buffer decoded to views of its words,
 //     leaves the engine exactly as observe() on each event would,
 //     snapshot for snapshot, through window creation below the watermark,
 //     stragglers and pruning inside a run — and, fed finely interleaved
@@ -113,7 +113,7 @@ TEST(StreamEngineRunTest, RunEntryMatchesEventByEvent) {
     std::vector<uint64_t> tick(kProcs, 0);
     std::vector<uint64_t> beats(kProcs, 0);
     std::vector<uint64_t> tsBase(kProcs, 0);
-    std::vector<IndexEntry> index;
+    std::vector<DecodedEvent> decoded;
     for (int r = 0; r < 200; ++r) {
       uint32_t p = static_cast<uint32_t>(rng.nextBelow(kProcs));
       if (p == kStraggler && r < 100) p = 0;
@@ -130,10 +130,10 @@ TEST(StreamEngineRunTest, RunEntryMatchesEventByEvent) {
         }
       }
       const std::vector<uint64_t> words = encodeBuffer(run);
-      index.clear();
-      indexBuffer(words, tsBase[p], index);
-      ASSERT_EQ(index.size(), run.size());
-      byRun.onRun(streaming::IndexRun{words, index, static_cast<uint64_t>(r), p});
+      decoded.clear();
+      decodeBuffer(words, static_cast<uint64_t>(r), p, tsBase[p], decoded);
+      ASSERT_EQ(decoded.size(), run.size());
+      byRun.onRun(decoded);
       for (const DecodedEvent& e : run) byEvent.observe(e);
       ASSERT_EQ(byRun.snapshotJson("t"), byEvent.snapshotJson("t"))
           << "seed " << seed << " run " << r;
@@ -309,7 +309,7 @@ TEST(StreamEngineRunTest, FineInterleavingMatchesRunsAndReferenceModel) {
     }
 
     std::vector<uint64_t> tsBase(kProcs, 0);
-    std::vector<IndexEntry> index;
+    std::vector<DecodedEvent> decoded;
     size_t begin = 0;
     bool completed = false;
     for (size_t i = 0; i < feed.size(); ++i) {
@@ -327,10 +327,10 @@ TEST(StreamEngineRunTest, FineInterleavingMatchesRunsAndReferenceModel) {
                                           feed.begin() + static_cast<ptrdiff_t>(i + 1));
       begin = i + 1;
       const std::vector<uint64_t> words = encodeBuffer(run);
-      index.clear();
-      indexBuffer(words, tsBase[e.processor], index);
-      ASSERT_EQ(index.size(), run.size());
-      byRun->onRun(streaming::IndexRun{words, index, e.bufferSeq, e.processor});
+      decoded.clear();
+      decodeBuffer(words, e.bufferSeq, e.processor, tsBase[e.processor], decoded);
+      ASSERT_EQ(decoded.size(), run.size());
+      byRun->onRun(decoded);
       if ((i + 1) % kCheckEvery == 0) {
         const std::string snapshot = byEvent->snapshotJson("t");
         ASSERT_EQ(snapshot, byRun->snapshotJson("t"))

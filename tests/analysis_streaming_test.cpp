@@ -147,6 +147,12 @@ DecodedEvent makeHeartbeat(uint32_t proc, uint64_t tick, uint64_t seq,
 TEST(StreamEngineTest, WindowTicksForMsIsClamped) {
   EXPECT_EQ(streaming::windowTicksForMs(100, 1e9), 100'000'000u);
   EXPECT_EQ(streaming::windowTicksForMs(0.0001, 1000), 1u);  // never 0
+  EXPECT_EQ(streaming::windowTicksForMs(-1, 1e9), 1u);
+  EXPECT_EQ(streaming::windowTicksForMs(std::nan(""), 1e9), 1u);
+  // Past 2^64 ticks (a -1 read as unsigned milliseconds): the widest
+  // window, whose end stays below 2^64 for ticks below 2^63.
+  EXPECT_EQ(streaming::windowTicksForMs(1.8446744073709552e19, 1e9), uint64_t{1} << 62);
+  EXPECT_EQ(streaming::windowTicksForMs(1e300, 1e9), uint64_t{1} << 62);
 }
 
 TEST(StreamEngineTest, WatermarkCompletesWindows) {

@@ -1,6 +1,6 @@
 // Buffer decoding: filler skipping, anchor re-basing, timestamp unwrap,
-// garbled-header resynchronization (paper §3.1-§3.2), and the index walk
-// (indexBuffer), which must agree with decodeBuffer event for event.
+// garbled-header resynchronization (paper §3.1-§3.2), and the properties
+// every decode holds to, whatever the words it is given.
 #include "core/decode.hpp"
 
 #include <gtest/gtest.h>
@@ -401,35 +401,47 @@ TEST(EventPayload, DecodedEventsCopyDeepAndMoveShallow) {
   EXPECT_EQ(copies[0].header.minor, 1u);
 }
 
-// --- The index walk agrees with decodeBuffer ----------------------------
+// --- What holds of every decode -----------------------------------------
 
-/// Walks `words` both ways from the same base with the same options and
-/// limit: the index entries must name exactly the events decodeBuffer
-/// copies out — same timestamps, offsets, headers and payloads — with the
-/// same DecodeStats and the same base carried out.
-void expectIndexMatchesDecode(std::span<const uint64_t> words, uint64_t seq,
-                              uint64_t tsBase, const DecodeOptions& options,
-                              uint32_t limitWords, const std::string& what) {
+/// Decodes `words` from `tsBase` with `options` and `limitWords`, and
+/// checks what holds whatever the words are: each event is the header word
+/// at its offset, its payload the view of the words after it — inside
+/// `words`, ending at or before the limit — and its timestamp that
+/// header's stamp unwrapped (an anchor's, the word it carries); offsets
+/// increase without overlap; and with fillers and anchors both kept,
+/// every event the stats count is emitted.
+void expectDecodeProperties(std::span<const uint64_t> words, uint64_t seq,
+                            uint64_t tsBase, const DecodeOptions& options,
+                            uint32_t limitWords, const std::string& what) {
   std::vector<DecodedEvent> events;
-  std::vector<IndexEntry> index;
-  uint64_t decodeBase = tsBase;
-  uint64_t indexBase = tsBase;
-  const DecodeStats decoded =
-      decodeBuffer(words, seq, 1, decodeBase, events, options, limitWords);
-  const DecodeStats indexed =
-      indexBuffer(words, indexBase, index, options, limitWords);
-  EXPECT_EQ(decoded, indexed) << what;
-  EXPECT_EQ(decodeBase, indexBase) << what;
-  ASSERT_EQ(events.size(), index.size()) << what;
-  for (size_t i = 0; i < index.size(); ++i) {
+  const DecodeStats stats =
+      decodeBuffer(words, seq, 1, tsBase, events, options, limitWords);
+  const size_t end =
+      limitWords != 0 && limitWords < words.size() ? limitWords : words.size();
+  size_t covered = 0;  // words the events before this one cover
+  for (size_t i = 0; i < events.size(); ++i) {
     const DecodedEvent& e = events[i];
-    const IndexEntry& x = index[i];
-    ASSERT_EQ(x.fullTimestamp, e.fullTimestamp) << what << " event " << i;
-    ASSERT_EQ(x.offset, e.offsetInBuffer) << what << " event " << i;
-    ASSERT_EQ(words[x.offset], e.header.encode()) << what << " event " << i;
-    ASSERT_EQ(x.type, static_cast<uint32_t>(words[x.offset])) << what << " event " << i;
-    ASSERT_TRUE(e.data == words.subspan(x.offset + 1, e.header.lengthWords - 1))
-        << what << " event " << i;
+    const size_t at = e.offsetInBuffer;
+    ASSERT_GE(at, covered) << what << " event " << i;
+    ASSERT_LT(at, end) << what << " event " << i;
+    ASSERT_EQ(e.header.encode(), words[at]) << what << " event " << i;
+    ASSERT_EQ(e.data.data(), words.data() + at + 1) << what << " event " << i;
+    ASSERT_FALSE(e.data.owned()) << what << " event " << i;
+    ASSERT_EQ(e.data.size() + 1, e.header.lengthWords) << what << " event " << i;
+    ASSERT_LE(at + 1 + e.data.size(), end) << what << " event " << i;
+    ASSERT_EQ(e.processor, 1u) << what << " event " << i;
+    ASSERT_EQ(e.bufferSeq, seq) << what << " event " << i;
+    if (e.header.major == Major::Control && e.header.minor == kAnchor) {
+      ASSERT_EQ(e.fullTimestamp, words[at + 1]) << what << " event " << i;
+    } else {
+      ASSERT_EQ(static_cast<uint32_t>(e.fullTimestamp), e.header.timestamp)
+          << what << " event " << i;
+    }
+    covered = at + e.header.lengthWords;
+  }
+  EXPECT_LE(events.size(), stats.events + stats.fillers) << what;
+  if (options.keepFillers && options.keepAnchors) {
+    EXPECT_EQ(events.size(), stats.events + stats.fillers) << what;
   }
 }
 
@@ -459,17 +471,17 @@ std::vector<uint64_t> busyBuffer() {
   return buf;
 }
 
-TEST(IndexWalk, AgreesWithDecodeOverGarbledAndTruncatedBuffers) {
+TEST(DecodeProperties, HoldOverGarbledAndTruncatedBuffers) {
   const std::vector<uint64_t> clean = busyBuffer();
   for (const DecodeOptions& options : optionSets()) {
     // Whole, then cut at every limit and every truncated length.
     for (uint32_t limit = 0; limit <= 64; ++limit) {
-      expectIndexMatchesDecode(clean, 5, 0, options, limit,
-                               "limit " + std::to_string(limit));
+      expectDecodeProperties(clean, 5, 0, options, limit,
+                             "limit " + std::to_string(limit));
     }
     for (size_t n = 0; n <= clean.size(); ++n) {
-      expectIndexMatchesDecode(std::span<const uint64_t>(clean).first(n), 5, 7,
-                               options, 0, "truncated to " + std::to_string(n));
+      expectDecodeProperties(std::span<const uint64_t>(clean).first(n), 5, 7,
+                             options, 0, "truncated to " + std::to_string(n));
     }
     // Garbled: a zero length, a length past the end, an unknown major and
     // a 5-word anchor, each at every header position in turn.
@@ -483,8 +495,8 @@ TEST(IndexWalk, AgreesWithDecodeOverGarbledAndTruncatedBuffers) {
       for (uint32_t at = 0; at < clean.size(); ++at) {
         std::vector<uint64_t> buf = clean;
         buf[at] = bad;
-        expectIndexMatchesDecode(buf, 5, 0, options, 0,
-                                 "garbage at " + std::to_string(at));
+        expectDecodeProperties(buf, 5, 0, options, 0,
+                               "garbage at " + std::to_string(at));
       }
     }
     // Random bit flips anywhere, with random limits.
@@ -496,13 +508,13 @@ TEST(IndexWalk, AgreesWithDecodeOverGarbledAndTruncatedBuffers) {
         buf[rng.nextBelow(buf.size())] ^= uint64_t{1} << rng.nextBelow(64);
       }
       const auto limit = static_cast<uint32_t>(rng.nextBelow(2) ? 0 : rng.nextBelow(65));
-      expectIndexMatchesDecode(buf, 5, rng.next(), options, limit,
-                               "flips, iteration " + std::to_string(iter));
+      expectDecodeProperties(buf, 5, rng.next(), options, limit,
+                             "flips, iteration " + std::to_string(iter));
     }
   }
 }
 
-TEST(IndexWalk, AgreesWithDecodeOverFormatMatrixRecords) {
+TEST(DecodeProperties, HoldOverFormatMatrixRecords) {
   // Real records — anchors, fillers, stamps wrapping 2^32, payloads of 0
   // to 9 words — written in v2, v3 and compressed v3 and read back.
   constexpr uint32_t kProcs = 2;
@@ -531,7 +543,7 @@ TEST(IndexWalk, AgreesWithDecodeOverFormatMatrixRecords) {
   const std::vector<BufferRecord> logged = sink.records();
 
   const auto dir = std::filesystem::temp_directory_path() /
-                   ("ktrace_index_walk_" + std::to_string(::getpid()));
+                   ("ktrace_decode_properties_" + std::to_string(::getpid()));
   std::filesystem::create_directories(dir);
   TraceWriterOptions v2;
   v2.formatVersion = 2;
@@ -565,11 +577,11 @@ TEST(IndexWalk, AgreesWithDecodeOverFormatMatrixRecords) {
         BufferView view;
         ASSERT_TRUE(reader.readBufferView(k, view));
         for (const DecodeOptions& decode : optionSets()) {
-          expectIndexMatchesDecode(view.words, view.seq, tsBase, decode, 0,
-                                   std::string(name) + " record " + std::to_string(k));
+          expectDecodeProperties(view.words, view.seq, tsBase, decode, 0,
+                                 std::string(name) + " record " + std::to_string(k));
         }
-        std::vector<IndexEntry> index;
-        indexBuffer(view.words, tsBase, index);  // carry the base on
+        std::vector<DecodedEvent> events;
+        decodeBuffer(view.words, view.seq, p, tsBase, events);  // carry the base on
         ++records;
       }
     }

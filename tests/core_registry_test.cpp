@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/decode.hpp"
 #include "core/packing.hpp"
 
 namespace ktrace {
@@ -136,24 +137,18 @@ TEST(Registry, FormatEventEndToEnd) {
   Registry reg;
   reg.add({Major::Mem, 3, "TRACE_MEM_FCMCOM_ATCH_REG", "64 64",
            "Region %0[%llx] attached to FCM %1[%llx]"});
-  Event e;
-  e.header.major = Major::Mem;
-  e.header.minor = 3;
-  e.header.lengthWords = 3;
   const uint64_t data[] = {0x800000001022cc98ull, 0xe100000000003f30ull};
-  e.data = data;
+  const DecodedEvent e(EventHeader::decode(EventHeader::encode(0, 3, Major::Mem, 3)),
+                       data, 2, 0, 0, 0, 0);
   EXPECT_EQ(reg.formatEvent(e),
             "Region 800000001022cc98 attached to FCM e100000000003f30");
 }
 
 TEST(Registry, FormatEventFallsBackToHexDump) {
   Registry reg;
-  Event e;
-  e.header.major = Major::Io;
-  e.header.minor = 12;
-  e.header.lengthWords = 2;
   const uint64_t data[] = {0xFF};
-  e.data = data;
+  const DecodedEvent e(EventHeader::decode(EventHeader::encode(0, 2, Major::Io, 12)),
+                       data, 1, 0, 0, 0, 0);
   EXPECT_EQ(reg.formatEvent(e), "major5/minor12 ff");
 }
 

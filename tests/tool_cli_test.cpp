@@ -232,6 +232,13 @@ TEST_F(ToolCliTest, FsckReportsCleanTrace) {
   EXPECT_EQ(out.find("CORRUPT"), std::string::npos);
 }
 
+TEST_F(ToolCliTest, TopRejectsANegativeWindow) {
+  // A usage error, not a snapshot with windowing off ("window_ticks":0).
+  std::string out;
+  EXPECT_EQ(runTool("top " + cpu0_ + " " + cpu1_ + " --json --window-ms=-1", out), 2);
+  EXPECT_TRUE(out.empty()) << out;
+}
+
 TEST_F(ToolCliTest, EveryReportIsIdenticalRawAndLzAtOneAndFourThreads) {
   // One small recorded 4-cpu SDET run, written raw and compressed. Each
   // report prints the same text over either file set at 1 and 4 decode

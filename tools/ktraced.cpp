@@ -223,6 +223,10 @@ int main(int argc, char** argv) {
   } else {
     config.analysisWindow =
         std::chrono::milliseconds(cli.getInt("window-ms", 100));
+    if (config.analysisWindow.count() < 0) {
+      std::fprintf(stderr, "ktraced: --window-ms must not be negative\n");
+      return util::kExitUsage;
+    }
     const std::string monitorsPath = cli.getString("monitors", "");
     if (monitorsPath.empty()) {
       config.monitors = analysis::streaming::defaultMonitors();

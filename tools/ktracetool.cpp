@@ -843,6 +843,12 @@ int run(const util::Cli& cli) {
     return 0;
   }
 
+  const int64_t windowMs = cli.getInt("window-ms", 100);
+  if (command == "top" && windowMs < 0) {
+    std::fprintf(stderr, "ktracetool: --window-ms must not be negative\n");
+    return util::kExitUsage;
+  }
+
   DecodeOptions decodeOptions;
   decodeOptions.salvage = cli.getBool("salvage", false);
   decodeOptions.threads = static_cast<uint32_t>(cli.getInt("threads", 0));
@@ -894,7 +900,6 @@ int run(const util::Cli& cli) {
     // window geometry, same snapshot schema as ktraced's live tap — so a
     // live snapshot's completed-window lines are a verbatim subset of
     // this command's output over the same files.
-    const uint64_t windowMs = static_cast<uint64_t>(cli.getInt("window-ms", 100));
     std::vector<analysis::streaming::DerivedMonitor> monitors;
     const std::string monitorsPath = cli.getString("monitors", "");
     if (monitorsPath.empty()) {
@@ -913,7 +918,7 @@ int run(const util::Cli& cli) {
     analysis::streaming::StreamEngineConfig engineConfig;
     engineConfig.ticksPerSecond = tps;
     engineConfig.windowTicks =
-        analysis::streaming::windowTicksForMs(windowMs, tps);
+        analysis::streaming::windowTicksForMs(static_cast<double>(windowMs), tps);
     analysis::streaming::StreamEngine engine(engineConfig, std::move(monitors));
     engine.addFold(std::make_unique<analysis::streaming::LockContentionFold>());
     engine.addFold(
